@@ -8,11 +8,11 @@ GO ?= go
 	transgraph transgraph-check mcheck mcheck-smoke mcheck-baseline \
 	mutants crosscheck \
 	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
-	flow flow-check flow-mutants indep indep-check scale-smoke
+	flow flow-check flow-mutants indep indep-check scale-smoke examples-smoke
 
-ci: build vet fmt lint test race smoke check transgraph-check flow-check \
-	indep-check flow-mutants mcheck-smoke mutants trace-smoke metrics-smoke \
-	fuzz fuzz-mutants scale-smoke
+ci: build vet fmt lint test race smoke examples-smoke check transgraph-check \
+	flow-check indep-check flow-mutants mcheck-smoke mutants trace-smoke \
+	metrics-smoke fuzz fuzz-mutants scale-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,11 @@ race:
 smoke:
 	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -validate
 	$(GO) run ./cmd/spandex-bench -verify-determinism -parallel 4
+
+# The protocol-trace example's Figure 1 message walk must match its golden
+# output byte for byte (regenerate the golden only for a reviewed change).
+examples-smoke:
+	$(GO) run ./examples/protocoltrace | diff -u testdata/protocoltrace.golden -
 
 # Invariant-checked smoke: litmus plus one headline workload per figure
 # under -check (per-transition SWMR/disjointness audit on every LLC state

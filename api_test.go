@@ -175,14 +175,18 @@ func TestReaderSeesInitAndWrites(t *testing.T) {
 	}
 }
 
-func TestTraceMessagesFires(t *testing.T) {
+func TestTraceSinkFires(t *testing.T) {
 	p := FastParams()
-	s, err := NewSystem(Options{ConfigName: "SDD", Params: &p})
+	n := 0
+	count := TraceFuncSink(func(ev TraceEvent) {
+		if ev.Kind == TraceMsgDeliver {
+			n++
+		}
+	})
+	s, err := NewSystem(Options{ConfigName: "SDD", Params: &p, TraceSink: count})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	s.TraceMessages(func(tick uint64, msg string) { n++ })
 	prog := &Program{}
 	prog.CPU = append(prog.CPU, GoThread(func(t *Thread) {
 		t.FetchAdd(0x40000, 1, false, false)

@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"spandex/internal/analysis/msgflow"
+	"spandex/internal/artifact"
 )
 
 func main() {
@@ -81,30 +82,19 @@ func main() {
 		fatal(err)
 	}
 	dotOut := msgflow.DOT(r)
-	files := map[string][]byte{"flow.json": jsonOut, "flow.dot": dotOut}
+	files := map[string][]byte{
+		filepath.Join(*out, "flow.json"): jsonOut,
+		filepath.Join(*out, "flow.dot"):  dotOut,
+	}
+	fresh, err := artifact.Sync(os.Stdout, "spandex-flow", *check, files, "")
+	if err != nil {
+		fatal(err)
+	}
+	if !fresh {
+		os.Exit(1)
+	}
 	if *check {
-		stale := false
-		for name, want := range files {
-			path := filepath.Join(*out, name)
-			have, err := os.ReadFile(path)
-			if err != nil || string(have) != string(want) {
-				fmt.Printf("stale: %s (re-run spandex-flow)\n", path)
-				stale = true
-			}
-		}
-		if stale {
-			os.Exit(1)
-		}
 		fmt.Printf("%s is fresh\n", *out)
-	} else {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(*out, name), data, 0o644); err != nil {
-				fatal(err)
-			}
-		}
 	}
 	if len(r.Violations) > 0 {
 		os.Exit(1)

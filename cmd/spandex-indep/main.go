@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 
 	"spandex/internal/analysis/indep"
+	"spandex/internal/artifact"
 )
 
 func main() {
@@ -64,28 +65,15 @@ func main() {
 		filepath.Join(*out, "indep.dot"):  indep.DOT(f),
 		*tables:                           goOut,
 	}
-	if *check {
-		stale := false
-		for path, want := range files {
-			have, err := os.ReadFile(path)
-			if err != nil || string(have) != string(want) {
-				fmt.Printf("stale: %s (re-run spandex-indep)\n", path)
-				stale = true
-			}
-		}
-		if stale {
-			os.Exit(1)
-		}
-		fmt.Printf("%s and %s are fresh\n", *out, *tables)
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	fresh, err := artifact.Sync(os.Stdout, "spandex-indep", *check, files, "")
+	if err != nil {
 		fatal(err)
 	}
-	for path, data := range files {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fatal(err)
-		}
+	if !fresh {
+		os.Exit(1)
+	}
+	if *check {
+		fmt.Printf("%s and %s are fresh\n", *out, *tables)
 	}
 }
 

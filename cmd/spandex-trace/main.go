@@ -28,7 +28,6 @@ import (
 
 	"spandex"
 	"spandex/internal/memaddr"
-	"spandex/internal/obs"
 )
 
 func main() {
@@ -140,7 +139,7 @@ func main() {
 				die(fmt.Errorf("bad -addr %q: %w", *addrFlag, err))
 			}
 			line := memaddr.Addr(a).Line()
-			traceSink = obs.FuncSink(func(ev obs.Event) {
+			traceSink = spandex.TraceFuncSink(func(ev spandex.TraceEvent) {
 				switch {
 				case ev.Msg != nil && ev.Msg.Line == line:
 				case ev.Msg == nil && ev.Addr != 0 && ev.Addr.Line() == line:

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 
 	"spandex/internal/analysis"
 	"spandex/internal/analysis/transgraph"
+	"spandex/internal/artifact"
 )
 
 // defaultPackages are the protocol packages with message-handling units.
@@ -75,64 +75,30 @@ func main() {
 		die("%v", err)
 	}
 
-	stale := false
-	produced := map[string]bool{}
+	files := map[string][]byte{}
 	for _, pkg := range pkgs {
 		graphs, err := transgraph.Extract(pkg)
 		if err != nil {
 			die("%v", err)
 		}
 		for _, g := range graphs {
-			files := map[string][]byte{
-				filepath.Join(*out, g.Name()+".json"): g.JSON(),
-				filepath.Join(*out, g.Name()+".dot"):  g.DOT(),
-			}
-			for path, want := range files {
-				produced[filepath.Base(path)] = true
-				if *check {
-					have, err := os.ReadFile(path)
-					if err != nil || !bytes.Equal(have, want) {
-						fmt.Fprintf(os.Stderr, "stale: %s (re-run spandex-transgraph)\n", path)
-						stale = true
-					}
-					continue
-				}
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					die("%v", err)
-				}
-				if err := os.WriteFile(path, want, 0o644); err != nil {
-					die("%v", err)
-				}
-			}
+			files[filepath.Join(*out, g.Name()+".json")] = g.JSON()
+			files[filepath.Join(*out, g.Name()+".dot")] = g.DOT()
 			if !*check {
 				fmt.Printf("%-16s %s: %d states, %d messages, %d transitions (%s)\n",
 					g.Name(), g.Source, len(g.States), len(g.Messages), len(g.Transitions), *out)
 			}
 		}
 	}
-	// Orphans — checked-in artifacts no extracted unit produces — mean a
-	// unit silently vanished from extraction (e.g. a dispatch-idiom change
-	// the extractor no longer follows). Without this, -check passes while
-	// the on-disk graph rots.
-	if entries, err := os.ReadDir(*out); err == nil {
-		for _, ent := range entries {
-			name := ent.Name()
-			ext := filepath.Ext(name)
-			if ent.IsDir() || (ext != ".json" && ext != ".dot") || produced[name] {
-				continue
-			}
-			if *check {
-				fmt.Fprintf(os.Stderr, "orphan: %s (no extracted unit produces it — extraction regression or leftover; re-run spandex-transgraph)\n", filepath.Join(*out, name))
-				stale = true
-				continue
-			}
-			if err := os.Remove(filepath.Join(*out, name)); err != nil {
-				die("%v", err)
-			}
-			fmt.Printf("removed orphan %s\n", filepath.Join(*out, name))
-		}
+	// Orphans (checked-in graphs no extracted unit produces) mean a unit
+	// silently vanished from extraction, e.g. a dispatch-idiom change the
+	// extractor no longer follows. Without this, -check passes while the
+	// on-disk graph rots.
+	fresh, err := artifact.Sync(os.Stderr, "spandex-transgraph", *check, files, *out, ".json", ".dot")
+	if err != nil {
+		die("%v", err)
 	}
-	if stale {
+	if !fresh {
 		os.Exit(1)
 	}
 	if *check {

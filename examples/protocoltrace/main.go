@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"spandex"
 )
@@ -61,20 +60,20 @@ func (s *scenario) Build(m spandex.Machine, seed uint64) *spandex.Program {
 
 func main() {
 	sc := &scenario{}
-	sys, err := spandex.NewSystem(spandex.Options{ConfigName: "SDG"})
+	var lines []string
+	// The sink runs during Run, after Build has set sc.base.
+	trace := spandex.TraceFuncSink(func(ev spandex.TraceEvent) {
+		if ev.Kind == spandex.TraceMsgDeliver && ev.Msg.Line == sc.base.Line() {
+			lines = append(lines, fmt.Sprintf("%10d ps  %s", ev.At, ev.Msg))
+		}
+	})
+	sys, err := spandex.NewSystem(spandex.Options{ConfigName: "SDG", TraceSink: trace})
 	if err != nil {
 		log.Fatal(err)
 	}
 	prog := sc.Build(sys.Machine(), 0)
 	defer prog.Close()
 
-	var lines []string
-	sys.TraceMessages(func(tick uint64, msg string) {
-		// Only the interesting line (its address appears in the text).
-		if strings.Contains(msg, fmt.Sprintf("line=%#x", uint64(sc.base))) {
-			lines = append(lines, fmt.Sprintf("%10d ps  %s", tick, msg))
-		}
-	})
 	if err := sys.Attach(prog); err != nil {
 		log.Fatal(err)
 	}

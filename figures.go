@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"spandex/internal/detsort"
 	"spandex/internal/proto"
 	"spandex/internal/workload"
 )
@@ -126,9 +127,12 @@ func (f *FigureData) ComputeHeadline() Headline {
 			h.MaxTime = red
 		}
 		totTraffic := func(cn string) float64 {
+			// Sum in class-name order: float addition is not associative,
+			// and map order would change the last bits from run to run.
+			shares := f.Traffic[wn][cn]
 			var s float64
-			for _, v := range f.Traffic[wn][cn] {
-				s += v
+			for _, c := range detsort.Keys(shares) {
+				s += shares[c]
 			}
 			return s
 		}

@@ -1,6 +1,7 @@
 package spandex
 
 import (
+	"math"
 	"testing"
 )
 
@@ -155,6 +156,48 @@ func TestAllWorkloadsValidateEverywhere(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// TestComputeHeadlineDeterministic requires ComputeHeadline to be a pure
+// function of the figure: per-class traffic shares whose float sum
+// depends on addition order must still give bit-identical headline
+// numbers on every call.
+func TestComputeHeadlineDeterministic(t *testing.T) {
+	shares := []float64{0.1, 0.2, 0.3, 0.7, 0.11, 0.13, 0.17}
+	classes := []string{"ReqV", "ReqS", "ReqWT", "ReqO", "ReqWB", "Probe", "Atomic"}
+	f := &FigureData{
+		Workloads: []string{"a", "b"},
+		Configs:   ConfigNames(),
+		Time:      map[string]map[string]float64{},
+		Traffic:   map[string]map[string]map[string]float64{},
+	}
+	for wi, wn := range f.Workloads {
+		f.Time[wn] = map[string]float64{}
+		f.Traffic[wn] = map[string]map[string]float64{}
+		for ci, cn := range f.Configs {
+			f.Time[wn][cn] = 1 + 0.1*float64(ci)
+			f.Traffic[wn][cn] = map[string]float64{}
+			for k, c := range classes {
+				f.Traffic[wn][cn][c] = shares[(k+ci+wi)%len(shares)] / float64(1+ci)
+			}
+		}
+	}
+	bits := func(h Headline) []uint64 {
+		out := []uint64{math.Float64bits(h.AvgTraffic), math.Float64bits(h.MaxTraffic)}
+		for _, wn := range f.Workloads {
+			out = append(out, math.Float64bits(h.TrafficReduction[wn]))
+		}
+		return out
+	}
+	want := bits(f.ComputeHeadline())
+	for i := 0; i < 200; i++ {
+		got := bits(f.ComputeHeadline())
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("call %d: headline value %d is %#x, first call gave %#x", i, j, got[j], want[j])
+			}
 		}
 	}
 }

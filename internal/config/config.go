@@ -188,7 +188,6 @@ type SystemParams struct {
 	MSHREntries        int
 
 	// Latencies, in CPU cycles unless noted.
-	L1HitCPUCycles   uint64 // applied in the device's own clock domain
 	L2HitCycles      uint64
 	L3HitCycles      uint64
 	MemLatencyCycles uint64
@@ -220,7 +219,6 @@ func DefaultParams() SystemParams {
 		StoreBufferEntries: 128,
 		MSHREntries:        128,
 
-		L1HitCPUCycles:   1,
 		L2HitCycles:      24,
 		L3HitCycles:      48,
 		MemLatencyCycles: 160,

@@ -58,6 +58,12 @@ type linkAgg struct {
 	ingressBacklog *tseries
 }
 
+// occKey names one occupancy series: a resource on a node.
+type occKey struct {
+	node proto.NodeID
+	res  string
+}
+
 // setAgg is one LLC set's conflict/eviction tally.
 type setAgg struct {
 	conflicts, evictions uint64

@@ -75,13 +75,7 @@ func (r *MetricsReport) RenderSummary(w io.Writer) {
 	if len(r.Occupancy) > 0 {
 		fmt.Fprintf(tw, "\noccupancy\tpeak\tsamples\n")
 		for _, o := range r.Occupancy {
-			var peak, count uint64
-			for _, p := range o.Series.Points {
-				if p.Max > peak {
-					peak = p.Max
-				}
-				count += p.Count
-			}
+			count, peak := o.Series.Samples()
 			fmt.Fprintf(tw, "%s.%s\t%d\t%d\n", r.NodeName(o.Node), o.Res, peak, count)
 		}
 	}

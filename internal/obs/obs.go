@@ -13,7 +13,13 @@
 //  2. aggregates log-bucketed latency histograms (p50/p90/p99/max) per
 //     operation class plus the phase-breakdown table; and
 //  3. forwards every event to an optional Sink — the streaming JSONL
-//     sink or the Chrome trace-event (Perfetto-loadable) exporter.
+//     sink, the Chrome trace-event (Perfetto-loadable) exporter, or a
+//     FuncSink callback; and
+//  4. feeds the optional Metrics engine, whose cycle-bucketed time series
+//     (series.go) are the layer's only occupancy sampler.
+//
+// The Recorder's consumers are fixed when it is constructed (Config);
+// there is no way to add a sink to a running Recorder.
 //
 // The layer is strictly zero-overhead when disabled: instrumentation
 // sites are nil-checks on a Recorder pointer, traces stay zero, and no
@@ -199,22 +205,3 @@ type FuncSink func(Event)
 
 // Event implements Sink.
 func (f FuncSink) Event(ev Event) { f(ev) }
-
-// Tee fans the event stream out to multiple sinks in order.
-func Tee(sinks ...Sink) Sink {
-	out := make(teeSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-type teeSink []Sink
-
-func (t teeSink) Event(ev Event) {
-	for _, s := range t {
-		s.Event(ev)
-	}
-}

@@ -8,7 +8,6 @@ import (
 
 	"spandex/internal/memaddr"
 	"spandex/internal/proto"
-	"spandex/internal/sim"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -187,39 +186,6 @@ func TestPhaseMachineIgnoresUntracked(t *testing.T) {
 	}
 }
 
-func TestOccupancyDecimation(t *testing.T) {
-	r := New(Config{Occupancy: true})
-	for i := 0; i < occMaxSamples*3; i++ {
-		r.Emit(Event{At: sim.Time(i), Kind: EvOccupancy, Node: 2, Res: "mshr", Arg: uint64(i % 7)})
-	}
-	rep := r.Report()
-	if len(rep.Occupancy) != 1 {
-		t.Fatalf("series = %d", len(rep.Occupancy))
-	}
-	s := rep.Occupancy[0]
-	if s.Node != 2 || s.Res != "mshr" {
-		t.Fatalf("series key = %d/%s", s.Node, s.Res)
-	}
-	if len(s.Points) == 0 || len(s.Points) >= occMaxSamples {
-		t.Fatalf("decimation failed: %d points", len(s.Points))
-	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].At <= s.Points[i-1].At {
-			t.Fatal("occupancy series not strictly increasing in time")
-		}
-	}
-}
-
-func TestTeeAndFuncSink(t *testing.T) {
-	var a, b int
-	s := Tee(FuncSink(func(Event) { a++ }), nil, FuncSink(func(Event) { b++ }))
-	s.Event(Event{})
-	s.Event(Event{})
-	if a != 2 || b != 2 {
-		t.Fatalf("tee counts = %d/%d", a, b)
-	}
-}
-
 func TestJSONLSinkShape(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
@@ -298,8 +264,8 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	}
 }
 
-// TestRecorderDisabledPaths: with Latency and Occupancy off, events flow
-// to the sink but no state accumulates.
+// TestRecorderDisabledPaths: with Latency off, events flow to the sink
+// but no state accumulates.
 func TestRecorderDisabledPaths(t *testing.T) {
 	var seen int
 	r := New(Config{Sink: FuncSink(func(Event) { seen++ })})
@@ -313,7 +279,7 @@ func TestRecorderDisabledPaths(t *testing.T) {
 		t.Fatalf("sink saw %d events", seen)
 	}
 	rep := r.Report()
-	if rep.Requests != 0 || len(rep.Occupancy) != 0 {
+	if rep.Requests != 0 {
 		t.Fatalf("disabled recorder accumulated state: %+v", rep)
 	}
 }

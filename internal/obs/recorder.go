@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"strings"
-
-	"spandex/internal/detsort"
 	"spandex/internal/proto"
 	"spandex/internal/sim"
 )
@@ -14,8 +11,6 @@ type Config struct {
 	// Latency enables the per-request phase state machine and the
 	// latency histograms.
 	Latency bool
-	// Occupancy enables the queue/MSHR occupancy time series.
-	Occupancy bool
 	// Sink receives every event (may be nil).
 	Sink Sink
 	// Metrics, when non-nil, receives every event into the system-level
@@ -49,45 +44,9 @@ type classAgg struct {
 	hist   Hist
 }
 
-type occKey struct {
-	node proto.NodeID
-	res  string
-}
-
-// occMaxSamples caps each occupancy series; when full the series is
-// decimated by dropping every other sample and the sampling stride
-// doubles, keeping memory bounded and the result deterministic.
-const occMaxSamples = 4096
-
-type occSeries struct {
-	points []OccPoint
-	stride uint64
-	skip   uint64
-}
-
-func (s *occSeries) add(at sim.Time, v uint64) {
-	if s.stride == 0 {
-		s.stride = 1
-	}
-	s.skip++
-	if s.skip < s.stride {
-		return
-	}
-	s.skip = 0
-	s.points = append(s.points, OccPoint{At: uint64(at), Value: v})
-	if len(s.points) >= occMaxSamples {
-		kept := s.points[:0]
-		for i := 0; i < len(s.points); i += 2 {
-			kept = append(kept, s.points[i])
-		}
-		s.points = kept
-		s.stride *= 2
-	}
-}
-
 // Recorder is the per-System event consumer: it assigns trace ids, runs
-// the phase machine, aggregates histograms and occupancy series, and
-// forwards events to the configured sink. A Recorder belongs to exactly
+// the phase machine, aggregates histograms, and forwards events to the
+// configured sink and metrics engine. A Recorder belongs to exactly
 // one System and is not safe for concurrent use — the simulator is
 // single-threaded, so no locking is needed (run isolation gives sweep
 // parallelism).
@@ -97,7 +56,6 @@ type Recorder struct {
 	next uint64
 	live map[uint64]*reqState
 	agg  [NumOpClasses]classAgg
-	occ  map[occKey]*occSeries
 }
 
 // New creates a Recorder.
@@ -106,7 +64,6 @@ func New(cfg Config) *Recorder {
 		cfg:  cfg,
 		llc:  make(map[proto.NodeID]bool, len(cfg.LLCNodes)),
 		live: make(map[uint64]*reqState),
-		occ:  make(map[occKey]*occSeries),
 	}
 	for _, id := range cfg.LLCNodes {
 		r.llc[id] = true
@@ -119,12 +76,6 @@ func New(cfg Config) *Recorder {
 
 // Metrics returns the attached metrics registry (nil if none).
 func (r *Recorder) Metrics() *Metrics { return r.cfg.Metrics }
-
-// SetSink installs (or replaces) the recorder's event sink.
-func (r *Recorder) SetSink(s Sink) { r.cfg.Sink = s }
-
-// Sink returns the current sink (nil if none).
-func (r *Recorder) Sink() Sink { return r.cfg.Sink }
 
 // NextTrace allocates the next request id. Ids are 1-based and
 // deterministic: they follow device issue order, which is fixed by the
@@ -144,22 +95,9 @@ func (r *Recorder) Emit(ev Event) {
 	if r.cfg.Metrics != nil {
 		r.cfg.Metrics.observe(ev)
 	}
-	if ev.Kind == EvOccupancy {
-		if r.cfg.Occupancy {
-			k := occKey{node: ev.Node, res: ev.Res}
-			s := r.occ[k]
-			if s == nil {
-				s = &occSeries{stride: 1}
-				r.occ[k] = s
-			}
-			s.add(ev.At, ev.Arg)
-		}
-		return
+	if r.cfg.Latency && ev.Kind != EvOccupancy {
+		r.step(ev)
 	}
-	if !r.cfg.Latency {
-		return
-	}
-	r.step(ev)
 }
 
 // step advances the phase machine for the event's request. Events whose
@@ -255,19 +193,5 @@ func (r *Recorder) Report() *LatencyReport {
 		rep.Requests += agg.count
 	}
 	rep.Unfinished = len(r.live)
-
-	keys := detsort.KeysFunc(r.occ, func(a, b occKey) int {
-		if a.node != b.node {
-			return int(a.node) - int(b.node)
-		}
-		return strings.Compare(a.res, b.res)
-	})
-	for _, k := range keys {
-		rep.Occupancy = append(rep.Occupancy, OccSeries{
-			Node:   int(k.node),
-			Res:    k.res,
-			Points: r.occ[k].points,
-		})
-	}
 	return rep
 }

@@ -7,9 +7,6 @@ type LatencyReport struct {
 	// Classes holds one row per operation class that completed at least
 	// one request, in OpClass order.
 	Classes []ClassLatency `json:"classes"`
-	// Occupancy holds the sampled queue/MSHR occupancy time series,
-	// sorted by (node, resource).
-	Occupancy []OccSeries `json:"occupancy,omitempty"`
 	// Requests is the total completed tracked requests.
 	Requests uint64 `json:"requests"`
 	// Unfinished counts requests issued but never completed — always
@@ -41,17 +38,4 @@ func (c ClassLatency) PhaseSum() uint64 {
 		sum += v
 	}
 	return sum
-}
-
-// OccPoint is one occupancy sample.
-type OccPoint struct {
-	At    uint64 `json:"at"`
-	Value uint64 `json:"value"`
-}
-
-// OccSeries is one resource's occupancy time series.
-type OccSeries struct {
-	Node   int        `json:"node"`
-	Res    string     `json:"res"`
-	Points []OccPoint `json:"points"`
 }

@@ -5,9 +5,9 @@ import "spandex/internal/sim"
 // seriesDefaultBuckets caps each time series; seriesDefaultWidth is the
 // initial bucket width in ticks (16 ns at 1 tick = 1 ps). When a sample
 // lands past the last bucket, adjacent bucket pairs merge and the width
-// doubles — the same deterministic decimation idea as the occupancy
-// sampler (occSeries), but keyed by simulated time instead of sample
-// count, so every series of one run shares a common time axis.
+// doubles. The decimation is keyed by simulated time, not sample count,
+// so it is deterministic and every series of one run shares a common
+// time axis.
 const (
 	seriesDefaultBuckets = 512
 	seriesDefaultWidth   = 1 << 14
@@ -56,6 +56,16 @@ func (s TimeSeries) Total() uint64 {
 		t += p.Sum
 	}
 	return t
+}
+
+// Samples returns the number of samples and the largest single sample in
+// the series. Both are exact: rescaling sums counts and keeps maxima.
+func (s TimeSeries) Samples() (count, peak uint64) {
+	for _, p := range s.Points {
+		count += p.Count
+		peak = max(peak, p.Max)
+	}
+	return count, peak
 }
 
 // tseries is the accumulating (pre-export) form of a TimeSeries.

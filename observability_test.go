@@ -201,42 +201,72 @@ func TestChromeExportValidates(t *testing.T) {
 	}
 }
 
-// TestObserveTees checks that System.Observe composes: two sinks
-// installed one after the other both see the full event stream.
-func TestObserveTees(t *testing.T) {
-	run := func(nsinks int) []int {
-		sys, err := NewSystem(Options{ConfigName: "SDD"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := make([]int, nsinks)
-		for i := 0; i < nsinks; i++ {
-			i := i
-			sys.Observe(obs.FuncSink(func(obs.Event) { counts[i]++ }))
-		}
-		prog := &Program{}
-		lay := NewLayout()
-		addr := lay.Words(4)
-		prog.CPU = append(prog.CPU, GoThread(func(th *Thread) {
-			th.Store(WordAddr(addr, 0), 1)
-			th.Fence(true, true)
-			_ = th.Load(WordAddr(addr, 1))
-		}))
-		defer prog.Close()
-		if err := sys.Attach(prog); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return counts
+// TestTraceOccupancyMetrics checks the occupancy sampler: with only
+// TraceOccupancy set, Result.Metrics.Occupancy holds one series per
+// (node, resource) that emitted occupancy events, and each series'
+// sample count and peak match the event stream exactly.
+func TestTraceOccupancyMetrics(t *testing.T) {
+	type key struct {
+		node int
+		res  string
 	}
-	counts := run(2)
-	if counts[0] == 0 {
-		t.Fatal("observer saw no events")
+	type tally struct{ count, peak uint64 }
+	want := map[key]*tally{}
+	count := TraceFuncSink(func(ev TraceEvent) {
+		if ev.Kind != obs.EvOccupancy {
+			return
+		}
+		k := key{int(ev.Node), ev.Res}
+		if want[k] == nil {
+			want[k] = &tally{}
+		}
+		want[k].count++
+		want[k].peak = max(want[k].peak, ev.Arg)
+	})
+	w, err := WorkloadByName("indirection")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if counts[0] != counts[1] {
-		t.Fatalf("teed sinks diverge: %d vs %d events", counts[0], counts[1])
+	p := FastParams()
+	res, err := Run(w, Options{ConfigName: "SDD", Params: &p, Seed: 7,
+		TraceOccupancy: true, TraceSink: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("no occupancy events emitted")
+	}
+	if res.Metrics == nil {
+		t.Fatal("TraceOccupancy produced no metrics report")
+	}
+	got := map[key]bool{}
+	for _, o := range res.Metrics.Occupancy {
+		k := key{o.Node, o.Res}
+		got[k] = true
+		c, peak := o.Series.Samples()
+		wt := want[k]
+		if wt == nil {
+			t.Errorf("series %v has no occupancy events", k)
+			continue
+		}
+		if c != wt.count || peak != wt.peak {
+			t.Errorf("series %v: %d samples, peak %d; events: %d, peak %d", k, c, peak, wt.count, wt.peak)
+		}
+	}
+	for k := range want {
+		if !got[k] {
+			t.Errorf("no occupancy series for %v", k)
+		}
+	}
+	if len(res.Metrics.Links) != 0 || res.Metrics.DRAM != nil {
+		t.Error("TraceOccupancy enabled collectors beyond the LLC's")
+	}
+	mo := MetricsOptions{Links: true}
+	if _, err := NewSystem(Options{ConfigName: "SDD", TraceOccupancy: true, Metrics: &mo}); err != nil {
+		t.Fatal(err)
+	}
+	if mo != (MetricsOptions{Links: true}) {
+		t.Errorf("NewSystem mutated the caller's MetricsOptions: %+v", mo)
 	}
 }
 

@@ -148,12 +148,16 @@ type Options struct {
 	// observes and never perturbs: Result.Fingerprint is bit-identical with
 	// every Trace* knob on or off (test-enforced).
 	TraceLatency bool
-	// TraceOccupancy additionally samples L1 MSHR and LLC transaction-table
-	// occupancy into Result.Latency.Occupancy time series.
+	// TraceOccupancy samples L1 MSHR and LLC request-queue/transaction-table
+	// occupancy into Result.Metrics.Occupancy time series. It turns on the
+	// metrics engine's LLC collector (MetricsOptions.LLC), on top of
+	// whatever Metrics selects; the caller's MetricsOptions is not modified.
 	TraceOccupancy bool
 	// TraceSink, when non-nil, receives every observability event as the
 	// simulation runs (see NewJSONLTraceSink and NewChromeTraceSink for
-	// ready-made exporters). Independent of TraceLatency/TraceOccupancy.
+	// ready-made exporters, and TraceFunc for a callback). It is the only
+	// way to attach a sink: install it here, at construction. Independent
+	// of TraceLatency/TraceOccupancy.
 	TraceSink TraceEventSink
 	// Metrics, when non-nil, enables the system-level metrics engine:
 	// deterministic cycle-bucketed time series (NoC utilization and
@@ -202,8 +206,8 @@ type Result struct {
 	// Transitions maps "state|msg" to the number of times the LLC
 	// processed that (state, message) pair (Options.RecordTransitions).
 	Transitions map[string]uint64
-	// Latency is the request-latency attribution (Options.TraceLatency /
-	// TraceOccupancy). It is deliberately excluded from Fingerprint: the
+	// Latency is the request-latency attribution (Options.TraceLatency).
+	// It is deliberately excluded from Fingerprint: the
 	// fingerprint hashes simulated behaviour, and tracing must not change
 	// it.
 	Latency *LatencyReport
@@ -317,16 +321,7 @@ func NewSystem(opt Options) (*System, error) {
 		s.buildHierarchical(opt)
 	}
 	if opt.TraceLatency || opt.TraceOccupancy || opt.TraceSink != nil || opt.Metrics != nil {
-		var m *obs.Metrics
-		if opt.Metrics != nil {
-			m = obs.NewMetrics(*opt.Metrics)
-		}
-		s.installObserver(obs.Config{
-			Latency:   opt.TraceLatency,
-			Occupancy: opt.TraceOccupancy,
-			Sink:      opt.TraceSink,
-			Metrics:   m,
-		})
+		s.installObserver(opt)
 	}
 	return s, nil
 }
@@ -335,11 +330,22 @@ func NewSystem(opt Options) (*System, error) {
 // request tracing and occupancy sampling.
 type l1Observable interface{ SetObserver(*obs.Recorder) }
 
-// installObserver creates the recorder and threads it through the NoC, the
-// LLC and every L1. Cores and CUs attach later (Attach). The recorder is
-// purely passive: it never schedules events, touches stats, or alters any
-// message, so an instrumented run is cycle-identical to a bare one.
-func (s *System) installObserver(cfg obs.Config) {
+// installObserver creates the recorder the options ask for and threads it
+// through the NoC, the LLC and every L1. Cores and CUs attach later
+// (Attach). It runs once, from NewSystem: observation is configured only
+// through Options. The recorder is purely passive: it never schedules
+// events, touches stats, or alters any message, so an instrumented run is
+// cycle-identical to a bare one.
+func (s *System) installObserver(opt Options) {
+	cfg := obs.Config{Latency: opt.TraceLatency, Sink: opt.TraceSink}
+	if opt.Metrics != nil || opt.TraceOccupancy {
+		var mc MetricsOptions
+		if opt.Metrics != nil {
+			mc = *opt.Metrics
+		}
+		mc.LLC = mc.LLC || opt.TraceOccupancy
+		cfg.Metrics = obs.NewMetrics(mc)
+	}
 	nDev := s.params.NumDevices()
 	if s.cfg.LLC == config.LLCHierarchicalMESI {
 		// GPU L2 and the L3 directory both act as "the LLC" for phase
@@ -375,15 +381,6 @@ func (s *System) installObserver(cfg obs.Config) {
 			o.SetObserver(s.obs)
 		}
 	}
-}
-
-// ensureObserver returns the system's recorder, creating a sink-less,
-// aggregation-less one on first use (Observe relies on this).
-func (s *System) ensureObserver() *obs.Recorder {
-	if s.obs == nil {
-		s.installObserver(obs.Config{})
-	}
-	return s.obs
 }
 
 func (s *System) buildSpandex(opt Options) {

@@ -5,8 +5,10 @@ import (
 	"strings"
 
 	"spandex/internal/config"
+	"spandex/internal/mesi"
 	"spandex/internal/obs"
 	"spandex/internal/proto"
+	"spandex/internal/sim"
 	"spandex/internal/workload"
 )
 
@@ -126,8 +128,10 @@ func renderTableVI() string {
 	b.WriteString("Table VI: simulated system parameters\n")
 	fmt.Fprintf(&b, "CPU: %d cores @ 2 GHz\n", p.CPUCores)
 	fmt.Fprintf(&b, "GPU: %d CUs @ 700 MHz, %d warps per CU\n", p.GPUCUs, p.WarpsPerCU)
+	// Every L1 hits in one cycle of its own clock domain (each protocol's
+	// DefaultConfig); the CPU MESI L1 stands for all of them.
 	fmt.Fprintf(&b, "L1: %d KB, %d-way, hit %d cycle(s)\n",
-		p.L1SizeBytes/1024, p.L1Ways, p.L1HitCPUCycles)
+		p.L1SizeBytes/1024, p.L1Ways, mesi.DefaultConfig(0).HitLatency/sim.CPUCycle)
 	fmt.Fprintf(&b, "Spandex LLC: %d MB, %d-way, %d cycles\n",
 		p.SpandexLLCBytes/(1024*1024), p.SpandexLLCWays, p.L2HitCycles)
 	fmt.Fprintf(&b, "Hierarchical: GPU L2 %d MB (%d cycles) + L3 %d MB (%d cycles)\n",
@@ -148,8 +152,9 @@ func renderTableVI() string {
 // bounds) followed by the per-phase wait breakdown. The phase columns of
 // each class sum exactly to its total cycles — the recorder closes one
 // phase interval per event, so no wait time is dropped or double-counted.
-// Requires Options.TraceLatency; occupancy series (Options.TraceOccupancy)
-// are summarized by sample count only.
+// Requires Options.TraceLatency. With Options.TraceOccupancy it appends one
+// row per occupancy series in Result.Metrics.Occupancy: the exact sample
+// count and peak occupancy.
 func RenderLatency(res Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Request latency: %s on %s\n", res.Workload, res.Config)
@@ -180,17 +185,12 @@ func RenderLatency(res Result) string {
 		}
 		fmt.Fprintf(&b, " %14d\n", c.TotalTicks)
 	}
-	if len(r.Occupancy) > 0 {
+	if m := res.Metrics; m != nil && len(m.Occupancy) > 0 {
 		b.WriteString("\nOccupancy series (node/resource: samples, peak):\n")
-		for _, s := range r.Occupancy {
-			var peak uint64
-			for _, pt := range s.Points {
-				if pt.Value > peak {
-					peak = pt.Value
-				}
-			}
+		for _, o := range m.Occupancy {
+			count, peak := o.Series.Samples()
 			fmt.Fprintf(&b, "  node%-3d %-10s %6d samples, peak %d\n",
-				s.Node, s.Res, len(s.Points), peak)
+				o.Node, o.Res, count, peak)
 		}
 	}
 	return b.String()

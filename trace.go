@@ -12,6 +12,14 @@ import (
 // System-side niceties for them: a JSONL event stream, a Chrome
 // trace-event (Perfetto-loadable) timeline, and per-node track naming.
 
+// TraceFuncSink adapts a function into a TraceEventSink, for
+// Options.TraceSink.
+type TraceFuncSink = obs.FuncSink
+
+// TraceMsgDeliver is the TraceEvent kind of a coherence message arriving
+// at its destination node; the event's Msg is the delivered message.
+const TraceMsgDeliver = obs.EvMsgDeliver
+
 // JSONLTraceSink streams events as one JSON object per line.
 type JSONLTraceSink = obs.JSONLSink
 

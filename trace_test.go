@@ -13,14 +13,21 @@ import (
 //	1b: ReqWT+data → RvkO → RspRvkO → RspWT+data;
 //	1c: line ReqV → forwarded word ReqV → partial RspVs.
 func TestFigure1MessageSequence(t *testing.T) {
-	sys, err := NewSystem(Options{ConfigName: "SDG", CheckInvariants: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	lay := NewLayout()
 	line := lay.Words(16)
 	flag := lay.Words(16)
+
+	var seq []string
+	trace := TraceFuncSink(func(ev TraceEvent) {
+		if ev.Kind == TraceMsgDeliver && ev.Msg.Line == line.Line() {
+			// Keep only the type token.
+			seq = append(seq, strings.Fields(ev.Msg.String())[0])
+		}
+	})
+	sys, err := NewSystem(Options{ConfigName: "SDG", CheckInvariants: true, TraceSink: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	prog := &Program{}
 	prog.CPU = append(prog.CPU, GoThread(func(th *Thread) {
@@ -45,13 +52,6 @@ func TestFigure1MessageSequence(t *testing.T) {
 	})})
 	defer prog.Close()
 
-	var seq []string
-	sys.TraceMessages(func(tick uint64, msg string) {
-		if strings.Contains(msg, "line=0x10000 ") {
-			// Keep only the type token.
-			seq = append(seq, strings.Fields(msg)[0])
-		}
-	})
 	if err := sys.Attach(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package spandex
 import (
 	"spandex/internal/device"
 	"spandex/internal/memaddr"
-	"spandex/internal/obs"
 	"spandex/internal/proto"
 	"spandex/internal/sim"
 	"spandex/internal/workload"
@@ -60,36 +59,3 @@ func WordAddr(base Addr, i int) Addr { return workload.Word(base, i) }
 // RegisterWorkload adds a workload to the registry used by WorkloadByName
 // and the benchmark harness.
 func RegisterWorkload(w Workload) { workload.Register(w) }
-
-// Observe installs a structured event sink on the system's observability
-// recorder, creating the recorder on first use. Multiple sinks compose
-// (each receives every event). Install before running. Observation is
-// passive: it cannot change simulated behaviour or Result.Fingerprint.
-func (s *System) Observe(sink TraceEventSink) {
-	r := s.ensureObserver()
-	s.nameNodes(sink)
-	if cur := r.Sink(); cur != nil {
-		r.SetSink(obs.Tee(cur, sink))
-	} else {
-		r.SetSink(sink)
-	}
-}
-
-// TraceMessages installs fn to observe every coherence message at its
-// delivery time — the hook behind examples/protocoltrace. Install before
-// running; msg is the message's human-readable form.
-//
-// Deprecated: TraceMessages is a thin string-formatting adapter kept for
-// compatibility; it now rides on the structured sink. New code should use
-// Observe and watch EvMsgDeliver events (or Options.TraceSink), which
-// avoids formatting a string per message and carries the full message.
-func (s *System) TraceMessages(fn func(tick uint64, msg string)) {
-	s.Observe(obs.FuncSink(func(ev obs.Event) {
-		if ev.Kind != obs.EvMsgDeliver {
-			return
-		}
-		// The string form is built here, inside the installed sink, so
-		// runs without a trace pay nothing per message.
-		fn(uint64(ev.At), ev.Msg.String())
-	}))
-}
