@@ -3,8 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race smoke check bench bench-json \
-	bench-gate clean \
+.PHONY: ci build vet fmt lint test race smoke check bench bench-gate clean \
 	transgraph transgraph-check mcheck mcheck-smoke mcheck-baseline \
 	mutants crosscheck \
 	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
@@ -62,14 +61,10 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Checked-in benchmark snapshot: measures single-worker headline-sweep
-# throughput and writes BENCH_<date>_<shortsha>.json at the repo root.
-# Commit the file to extend the performance trajectory.
-bench-json:
-	./scripts/bench_snapshot.sh
-
-# Perf-regression gate (the CI bench-gate job): re-measure and fail on
-# >10% regression vs the newest checked-in BENCH_*.json.
+# Perf-regression gate (the CI bench-gate job): a paired A/B of the
+# single-worker headline sweep at HEAD~1 vs the checked-out tree; fails on
+# >10% regression in cells/sec or events/sec, or >10% growth in
+# allocations per sweep. Also prints the tracing-disabled overhead line.
 bench-gate:
 	./scripts/bench_gate.sh
 
@@ -139,10 +134,11 @@ trace-smoke:
 	$(GO) run ./cmd/spandex-trace -mode validate -in /tmp/spandex-trace.json
 	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD
 
-# Report-only perf guard: tracing-disabled runs must stay within ~2% of
-# the parent commit's wall time (instrumentation reduces to nil checks).
+# Report-only: what enabling tracing and metrics costs one headline cell.
+# The tracing-disabled overhead vs the parent commit (< 2% target) is the
+# overhead line of `make bench-gate`.
 trace-overhead:
-	./scripts/trace_overhead.sh
+	$(GO) test -run '^$$' -bench 'BenchmarkRun(Tracing|Metrics)' -benchtime 3x . || true
 
 # Metrics-engine smoke: run a cell with every metrics knob on, render the
 # summary and heatmap, export the JSONL dump, re-validate it, and check

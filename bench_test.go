@@ -186,18 +186,23 @@ func BenchmarkAblationWordVsLineOwnership(b *testing.B) {
 }
 
 // BenchmarkHeadlineSweep is the perf-gate workload: the full 54-cell
-// Figure 2+3 matrix on a single worker, exactly what
-// `spandex-bench -perf` / scripts/bench_snapshot.sh measures and what the
-// EXPERIMENTS.md performance-trajectory table tracks.
+// Figure 2+3 matrix on a single worker, what scripts/bench_gate.sh times
+// at the parent commit and at HEAD and what the EXPERIMENTS.md
+// performance-trajectory table tracks. events/op is the engine events
+// fired per sweep (the sum of Result.Events), the gate's events/sec
+// numerator.
 func BenchmarkHeadlineSweep(b *testing.B) {
 	wls := append(append([]string{}, Figure2Workloads()...), Figure3Workloads()...)
 	b.ReportAllocs()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		cells := RunMatrix(nil, wls, ConfigNames(), Options{Seed: 42}, MatrixOptions{Workers: 1})
 		for _, c := range cells {
 			if c.Err != nil {
 				b.Fatalf("%s/%s: %v", c.Workload, c.Config, c.Err)
 			}
+			events += c.Result.Events
 		}
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -37,17 +37,31 @@ type Array[S any] struct {
 	tick   uint64
 }
 
-// NewArray builds an array with the given geometry. sizeBytes must be a
-// multiple of ways*LineBytes and the resulting set count a power of two.
-func NewArray[S any](sizeBytes, ways int) *Array[S] {
+// CheckGeometry reports why an array of sizeBytes with the given
+// associativity cannot be built, or nil if it can: it needs at least one
+// way, a line count divisible by the ways, and a set count that is a
+// positive power of two.
+func CheckGeometry(sizeBytes, ways int) error {
+	if ways < 1 {
+		return fmt.Errorf("cache: %d ways, need at least 1", ways)
+	}
 	lines := sizeBytes / memaddr.LineBytes
 	if lines%ways != 0 {
-		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", lines, ways))
+		return fmt.Errorf("cache: %d lines not divisible by %d ways", lines, ways)
 	}
-	sets := lines / ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
+	if sets := lines / ways; sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a positive power of two", sets)
 	}
+	return nil
+}
+
+// NewArray builds an array with the given geometry; it panics unless
+// CheckGeometry accepts it.
+func NewArray[S any](sizeBytes, ways int) *Array[S] {
+	if err := CheckGeometry(sizeBytes, ways); err != nil {
+		panic(err.Error())
+	}
+	sets := sizeBytes / memaddr.LineBytes / ways
 	return &Array[S]{sets: sets, ways: ways, chunks: make([][]Entry[S], sets)}
 }
 

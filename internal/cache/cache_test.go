@@ -25,6 +25,27 @@ func TestArrayBadGeometryPanics(t *testing.T) {
 	NewArray[int](3*memaddr.LineBytes*2, 2) // 3 sets
 }
 
+func TestCheckGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		bytes, ways int
+		ok          bool
+	}{
+		{32 * 1024, 8, true},
+		{memaddr.LineBytes, 1, true},
+		{2 * memaddr.LineBytes, 2, true},
+		{32 * 1024, 0, false},                 // no ways
+		{0, 8, false},                         // no sets
+		{1000, 8, false},                      // 15 lines over 8 ways
+		{256 * 1024 / 3, 16, false},           // 1365 lines over 16 ways
+		{3 * memaddr.LineBytes * 2, 2, false}, // 3 sets
+		{-memaddr.LineBytes, 1, false},
+	} {
+		if err := CheckGeometry(tc.bytes, tc.ways); (err == nil) != tc.ok {
+			t.Errorf("CheckGeometry(%d, %d) = %v, want ok=%v", tc.bytes, tc.ways, err, tc.ok)
+		}
+	}
+}
+
 func TestLookupInstall(t *testing.T) {
 	a := NewArray[string](4*1024, 4)
 	l := line(5)

@@ -5,7 +5,7 @@ package config
 import (
 	"fmt"
 
-	"spandex/internal/memaddr"
+	"spandex/internal/cache"
 	"spandex/internal/sim"
 )
 
@@ -304,9 +304,32 @@ func (p SystemParams) Validate() error {
 	if p.LLCBanks < 0 {
 		return fmt.Errorf("config: negative LLC bank count %d", p.LLCBanks)
 	}
-	if banks := p.Banks(); p.SpandexLLCBytes/banks < memaddr.LineBytes*p.SpandexLLCWays {
-		return fmt.Errorf("config: %d LLC banks leave under one set per bank (%d bytes / bank, %d ways)",
-			banks, p.SpandexLLCBytes/banks, p.SpandexLLCWays)
+	// Every cache array the system may build, Spandex or hierarchical.
+	for _, a := range []struct {
+		name        string
+		bytes, ways int
+	}{
+		{"L1", p.L1SizeBytes, p.L1Ways},
+		{"Spandex LLC bank", p.SpandexLLCBytes / p.Banks(), p.SpandexLLCWays},
+		{"GPU L2", p.GPUL2Bytes, p.GPUL2Ways},
+		{"L3", p.L3Bytes, p.L3Ways},
+	} {
+		if err := cache.CheckGeometry(a.bytes, a.ways); err != nil {
+			return fmt.Errorf("config: %s (%d bytes, %d ways): %w", a.name, a.bytes, a.ways, err)
+		}
+	}
+	if p.MSHREntries < 1 || p.StoreBufferEntries < 1 {
+		return fmt.Errorf("config: %d MSHR and %d store-buffer entries; each needs at least 1",
+			p.MSHREntries, p.StoreBufferEntries)
+	}
+	// A MESI L1 release drains every buffered line into its own MSHR
+	// without a capacity check.
+	if p.MSHREntries < p.StoreBufferEntries {
+		return fmt.Errorf("config: %d MSHR entries cannot hold a drained %d-entry store buffer",
+			p.MSHREntries, p.StoreBufferEntries)
+	}
+	if p.NoCBytesPerCyc < 1 {
+		return fmt.Errorf("config: NoC bandwidth %d bytes/cycle; needs at least 1", p.NoCBytesPerCyc)
 	}
 	if p.Topology > TopoRing {
 		return fmt.Errorf("config: unknown NoC topology %d", p.Topology)

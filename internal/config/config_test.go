@@ -235,6 +235,7 @@ func TestScaleParamsGeometry(t *testing.T) {
 		{2, 6, 0, 2},     // 8 requestors: floor of 2 banks
 		{4, 12, 0, 2},    // 16 requestors: 16/8 = 2
 		{8, 24, 0, 4},    // 32 requestors: 32/8 = 4
+		{12, 36, 0, 6},   // 48 requestors: 48/8 = 6
 		{16, 48, 0, 8},   // 64 requestors: 64/8 = 8
 		{16, 48, 16, 16}, // explicit bank count wins
 	} {

@@ -183,7 +183,7 @@ type Result struct {
 	// Ops is the total device operations executed.
 	Ops uint64
 	// Events is the number of engine events fired during the run. It is a
-	// throughput denominator (events/sec in BENCH_*.json), not simulated
+	// throughput measure (the bench gate's events/sec), not simulated
 	// behaviour, so it is excluded from Fingerprint: pooling and event-
 	// structure changes in the engine may alter it while the simulated
 	// machine stays bit-identical.
