@@ -112,7 +112,7 @@ flow-mutants:
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~1 min): every pairing × scenario under the
+# CI-budgeted model check (~15 s): every pairing × scenario under the
 # full reduction, gated against the checked-in state/runtime baseline,
 # then the static-vs-dynamic coverage cross-check on what the runs
 # observed.

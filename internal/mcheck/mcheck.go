@@ -205,6 +205,15 @@ func intersect(a, b map[actKey]struct{}) map[actKey]struct{} {
 // sibling). It returns w's fingerprint so the caller can run the ample
 // cycle proviso against its own stack.
 func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
+	// dfs owns w until its first child consumes it. Releasing the engine
+	// of a world nobody will touch again recycles its 256 KB calendar
+	// wheel, and dropping w once consumed keeps one world live per DFS
+	// path instead of one per level.
+	defer func() {
+		if w != nil {
+			w.eng.Release()
+		}
+	}()
 	if x.stop {
 		return 0
 	}
@@ -279,10 +288,13 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
 				continue
 			}
 		}
+		// The first explored child consumes w and takes over releasing
+		// it; siblings replay the prefix, yielding an identical pre-action
+		// copy of this state.
 		cw := w
-		if !first {
-			// The first explored child consumes w; siblings replay the
-			// prefix, yielding an identical pre-action copy of this state.
+		if first {
+			w = nil
+		} else {
 			cw = x.replay(path)
 		}
 		first = false

@@ -387,23 +387,23 @@ func (w *world) deliver(k int) {
 // renaming that won the minimization is recorded in curPerm so sleep sets
 // can be stored in the state's canonical coordinates.
 func (w *world) fingerprint() uint64 {
+	h := hasherPool.Get().(*hasher)
+	fp := w.canonicalHash(h)
+	hasherPool.Put(h)
+	return fp
+}
+
+// canonicalHash computes fingerprint() in the scratch space h.
+func (w *world) canonicalHash(h *hasher) uint64 {
 	if !w.red.Canon {
-		roots := make([]interface{}, 0, 2+len(w.llcs)+len(w.devs))
-		for _, llc := range w.llcs {
-			roots = append(roots, llc)
-		}
-		roots = append(roots, w.mem, w.pending)
-		for _, d := range w.devs {
-			roots = append(roots, d)
-		}
-		return structuralHash(roots...)
+		return w.structuralHash(h)
 	}
 	best := uint64(0)
 	w.curPerm = 0
 	for pi := range w.perms {
-		h := w.hashWithPerm(w.perms[pi], w.invs[pi])
-		if pi == 0 || h < best {
-			best = h
+		v := w.hashWithPerm(h, w.perms[pi], w.invs[pi])
+		if pi == 0 || v < best {
+			best = v
 			w.curPerm = pi
 		}
 	}
@@ -427,8 +427,9 @@ func (w *world) canonMaps() (idmap, inv []int8) {
 // their NodeID — so the system's dynamics commute with any renaming in
 // this group and orbit-minimizing the fingerprint merges states that
 // differ only by which twin did what. The identity is always perms[0].
-// The group's size is the product of the class sizes' factorials; scenario
-// authors keep classes small (≤4 twins ⇒ ≤24 renamings per hash).
+// The group's size is the product of the class sizes' factorials, and
+// every fingerprint() hashes the state once per renaming: fan6's five
+// twin GPUs make 5! = 120 renamings per hash.
 func symPerms(devs []DeviceScript) (perms, invs [][]int8) {
 	n := len(devs)
 	class := make([]int, n)

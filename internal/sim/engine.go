@@ -16,6 +16,7 @@ package sim
 
 import (
 	"math/bits"
+	"sync"
 )
 
 // Time is an absolute simulation time in ticks (picoseconds).
@@ -182,14 +183,41 @@ type Engine struct {
 // New returns a fresh Engine at time zero.
 func New() *Engine { return &Engine{} }
 
+// wheel is the calendar storage one Engine owns between init and Release.
+type wheel struct {
+	buckets       []bucket
+	bits, summary []uint64
+}
+
+// wheels recycles the wheels of released engines. The model checker
+// builds a short-lived engine for every replayed branch; reusing their
+// 256 KB bucket arrays keeps that from dominating its allocation.
+var wheels sync.Pool
+
 func (e *Engine) init() {
-	e.buckets = make([]bucket, wheelTicks)
-	for i := range e.buckets {
-		e.buckets[i].head = nilNode
+	if w, ok := wheels.Get().(*wheel); ok {
+		e.buckets, e.bits, e.summary = w.buckets, w.bits, w.summary
+		clear(e.bits)
+		clear(e.summary)
+	} else {
+		e.buckets = make([]bucket, wheelTicks)
+		e.bits = make([]uint64, wheelTicks/64)
+		e.summary = make([]uint64, (wheelTicks/64+63)/64)
 	}
-	e.bits = make([]uint64, wheelTicks/64)
-	e.summary = make([]uint64, (wheelTicks/64+63)/64)
+	for i := range e.buckets {
+		e.buckets[i] = bucket{head: nilNode}
+	}
 	e.free = nilNode
+}
+
+// Release hands the engine's calendar wheel to the next engine that
+// starts. The engine must not be used afterwards.
+func (e *Engine) Release() {
+	if e.buckets == nil {
+		return
+	}
+	wheels.Put(&wheel{buckets: e.buckets, bits: e.bits, summary: e.summary})
+	e.buckets, e.bits, e.summary = nil, nil, nil
 }
 
 // Now returns the current simulation time.

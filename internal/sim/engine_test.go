@@ -237,3 +237,39 @@ func TestCalendarHeapCrossCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedWheelReuse checks that an engine starting on a wheel
+// released mid-run, with events still queued in its buckets and bitmap,
+// fires a schedule exactly as a fresh engine does.
+func TestReleasedWheelReuse(t *testing.T) {
+	run := func(e *Engine) []Time {
+		var got []Time
+		for _, at := range []Time{7, 3, wheelTicks + 5, 3, 2*wheelTicks + 1, 64, 65} {
+			e.ScheduleAt(at, func() { got = append(got, e.Now()) })
+		}
+		e.Run()
+		return got
+	}
+	dirty := New()
+	for i := 0; i < 200; i++ {
+		dirty.Schedule(Time(i*37%wheelTicks), func() {})
+	}
+	dirty.RunUntil(100)
+	buckets := &dirty.buckets[0]
+	dirty.Release()
+
+	reused := New()
+	got := run(reused)
+	if &reused.buckets[0] != buckets {
+		t.Skip("the pool dropped the released wheel")
+	}
+	want := run(New())
+	if len(got) != len(want) {
+		t.Fatalf("reused engine fired %v, fresh engine %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reused engine fired %v, fresh engine %v", got, want)
+		}
+	}
+}
