@@ -7,11 +7,12 @@ GO ?= go
 	transgraph transgraph-check mcheck mcheck-smoke mcheck-baseline \
 	mutants crosscheck \
 	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
-	flow flow-check flow-mutants indep indep-check scale-smoke examples-smoke
+	flow flow-check flow-mutants indep indep-check scale-smoke examples-smoke \
+	fuzz-smoke
 
 ci: build vet fmt lint test race smoke examples-smoke check transgraph-check \
 	flow-check indep-check flow-mutants mcheck-smoke mutants trace-smoke \
-	metrics-smoke fuzz fuzz-mutants scale-smoke
+	metrics-smoke fuzz fuzz-mutants scale-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -187,6 +188,12 @@ fuzz-mutants:
 	$(GO) run -tags spandexmut ./cmd/spandex-fuzz -mutate dropinvack -seeds 0:500 -out /tmp/conform-mutants
 	$(GO) run -tags spandexmut ./cmd/spandex-fuzz -mutate skiprvko -seeds 0:500 -out /tmp/conform-mutants
 	$(GO) test -tags spandexmut ./internal/conform -run TestMutant
+
+# Native-fuzz smoke of the public constructor: 30 s of random device
+# lists, geometries, topologies and queue sizes. Whatever Validate accepts
+# must build and run litmus to completion with its oracle green.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzNewSystemParams$$' -fuzztime 30s .
 
 # Regenerate the checked-in litmus corpus (testdata/conform/) from
 # internal/conform/corpus.go.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"spandex/internal/cache"
+	"spandex/internal/noc"
 	"spandex/internal/sim"
 )
 
@@ -117,33 +118,17 @@ type DeviceSpec struct {
 	Count int
 }
 
-// NoCTopology selects the interconnect model (see internal/noc).
-type NoCTopology uint8
+// NoCTopology selects the interconnect model. It is the interconnect's
+// own enum: TopoDirect (the legacy point-to-point model every paper
+// figure uses), TopoMesh (switched 2D mesh, XY routing) or TopoRing
+// (switched bidirectional ring).
+type NoCTopology = noc.Topology
 
 const (
-	// TopoDirect is the legacy point-to-point model: distance-dependent
-	// latency with per-endpoint link serialization only. The paper's 9×6
-	// evaluation matrix runs on this model; its results are bit-stable.
-	TopoDirect NoCTopology = iota
-	// TopoMesh is a switched 2D mesh: XY (dimension-ordered) routing with
-	// per-link occupancy, so through-traffic contends at every hop.
-	TopoMesh
-	// TopoRing is a switched bidirectional ring: shortest-direction
-	// routing with per-link occupancy.
-	TopoRing
+	TopoDirect = noc.TopoDirect
+	TopoMesh   = noc.TopoMesh
+	TopoRing   = noc.TopoRing
 )
-
-func (t NoCTopology) String() string {
-	switch t {
-	case TopoDirect:
-		return "direct"
-	case TopoMesh:
-		return "mesh"
-	case TopoRing:
-		return "ring"
-	}
-	return fmt.Sprintf("NoCTopology(%d)", uint8(t))
-}
 
 // SystemParams mirrors the paper's Table VI. The published table's latency
 // values were corrupted in the source text, so representative 2018-era
@@ -300,6 +285,9 @@ func (p SystemParams) Validate() error {
 	}
 	if n := p.NumDevices(); n > 64 {
 		return fmt.Errorf("config: %d requestor devices exceed the 64-device directory sharer-bitset cap", n)
+	}
+	if p.WarpsPerCU < 0 {
+		return fmt.Errorf("config: negative WarpsPerCU %d", p.WarpsPerCU)
 	}
 	if p.LLCBanks < 0 {
 		return fmt.Errorf("config: negative LLC bank count %d", p.LLCBanks)

@@ -1,9 +1,10 @@
-package denovo
+package denovo_test
 
 import (
 	"testing"
 
 	"spandex/internal/core"
+	"spandex/internal/denovo"
 	"spandex/internal/device"
 	"spandex/internal/dram"
 	"spandex/internal/gpucoh"
@@ -22,12 +23,16 @@ type rig struct {
 	net *noc.Network
 	llc *core.LLC
 	mem *dram.Memory
-	dn  []*L1
+	dn  []*denovo.L1
 	gpu []*gpucoh.L1
 	chk *core.Checker
 }
 
-func newRig(t *testing.T, nDN, nGPU int) *rig {
+func newRig(t *testing.T, nDN, nGPU int) *rig { return newRigWith(t, nDN, nGPU, nil) }
+
+// newRigWith is newRig with edit (when non-nil) applied to every DeNovo
+// L1's configuration.
+func newRigWith(t *testing.T, nDN, nGPU int, edit func(*denovo.Config)) *rig {
 	r := &rig{t: t, eng: sim.New(), st: stats.New()}
 	n := nDN + nGPU
 	r.net = noc.New(r.eng, r.st, noc.DefaultConfig(), n+2)
@@ -39,7 +44,11 @@ func newRig(t *testing.T, nDN, nGPU int) *rig {
 	r.llc.SetChecker(r.chk)
 	for i := 0; i < nDN; i++ {
 		id := proto.NodeID(i)
-		l1 := New(id, r.eng, r.net.PortFor(id), r.st, DefaultConfig(llcID, false))
+		cfg := denovo.DefaultConfig(llcID, false)
+		if edit != nil {
+			edit(&cfg)
+		}
+		l1 := denovo.New(id, r.eng, r.net.PortFor(id), r.st, cfg)
 		r.net.Register(id, l1)
 		r.llc.RegisterDevice(id, false)
 		r.chk.AttachDevice(id, l1)
@@ -203,17 +212,8 @@ func TestAtomicOwnershipMigrates(t *testing.T) {
 }
 
 func TestAtomicsAtLLCMode(t *testing.T) {
-	r := newRig(t, 0, 0)
-	id := proto.NodeID(0)
-	_ = id
-	// Build a dedicated rig with AtomicsAtLLC.
-	r2 := newRig(t, 1, 0)
-	cfg := DefaultConfig(proto.NodeID(1), false)
-	cfg.AtomicsAtLLC = true
-	// Replace the L1 with an AtomicsAtLLC one.
-	_ = r
+	r2 := newRigWith(t, 1, 0, func(c *denovo.Config) { c.AtomicsAtLLC = true })
 	l1 := r2.dn[0]
-	l1.cfg.AtomicsAtLLC = true
 	if old := r2.rmw(l1, 0x6000, proto.AtomicFetchAdd, 5); old != 0 {
 		t.Fatal("bad rmw")
 	}

@@ -1,4 +1,4 @@
-package gpucoh
+package gpucoh_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"spandex/internal/core"
 	"spandex/internal/device"
 	"spandex/internal/dram"
+	"spandex/internal/gpucoh"
 	"spandex/internal/memaddr"
 	"spandex/internal/noc"
 	"spandex/internal/proto"
@@ -21,7 +22,7 @@ type rig struct {
 	net *noc.Network
 	llc *core.LLC
 	mem *dram.Memory
-	l1s []*L1
+	l1s []*gpucoh.L1
 	chk *core.Checker
 }
 
@@ -36,7 +37,7 @@ func newRig(t *testing.T, n int) *rig {
 	r.llc.SetChecker(r.chk)
 	for i := 0; i < n; i++ {
 		id := proto.NodeID(i)
-		l1 := New(id, r.eng, r.net.PortFor(id), r.st, DefaultConfig(llcID))
+		l1 := gpucoh.New(id, r.eng, r.net.PortFor(id), r.st, gpucoh.DefaultConfig(llcID))
 		r.net.Register(id, l1)
 		r.llc.RegisterDevice(id, false)
 		r.chk.AttachDevice(id, l1)
@@ -55,7 +56,7 @@ func (r *rig) run() {
 }
 
 // load performs a blocking load and returns the value.
-func (r *rig) load(l1 *L1, addr memaddr.Addr) uint32 {
+func (r *rig) load(l1 *gpucoh.L1, addr memaddr.Addr) uint32 {
 	var got uint32
 	hit := false
 	if !l1.Access(device.Op{Kind: device.OpLoad, Addr: addr}, func(v uint32) { got = v; hit = true }) {
@@ -70,7 +71,7 @@ func (r *rig) load(l1 *L1, addr memaddr.Addr) uint32 {
 
 // store buffers a write and flushes it to global visibility (the write
 // buffer drains lazily; tests that exercise coalescing use raw Access).
-func (r *rig) store(l1 *L1, addr memaddr.Addr, v uint32) {
+func (r *rig) store(l1 *gpucoh.L1, addr memaddr.Addr, v uint32) {
 	op := device.Op{Kind: device.OpStore, Addr: addr, Value: v}
 	for tries := 0; ; tries++ {
 		if l1.Access(op, func(uint32) {}) {
@@ -85,7 +86,7 @@ func (r *rig) store(l1 *L1, addr memaddr.Addr, v uint32) {
 	r.run()
 }
 
-func (r *rig) atomic(l1 *L1, addr memaddr.Addr, kind proto.AtomicKind, operand uint32) uint32 {
+func (r *rig) atomic(l1 *gpucoh.L1, addr memaddr.Addr, kind proto.AtomicKind, operand uint32) uint32 {
 	var got uint32
 	ok := false
 	if !l1.Access(device.Op{Kind: device.OpAtomic, Addr: addr, Atomic: kind, Value: operand},

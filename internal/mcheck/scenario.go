@@ -16,6 +16,7 @@ package mcheck
 import (
 	"fmt"
 
+	"spandex/internal/core"
 	"spandex/internal/device"
 	"spandex/internal/memaddr"
 	"spandex/internal/proto"
@@ -32,6 +33,19 @@ const (
 	// ProtoGPU is a GPU-coherence L1 (write-through, no ownership).
 	ProtoGPU Proto = "gpu"
 )
+
+// l1Protocol maps p onto the machine assembly's protocol selector.
+func (p Proto) l1Protocol() core.L1Protocol {
+	switch p {
+	case ProtoMESI:
+		return core.MESI
+	case ProtoDeNovo:
+		return core.DeNovo
+	case ProtoGPU:
+		return core.GPUCoherence
+	}
+	panic("mcheck: unknown protocol " + string(p))
+}
 
 // Pairing is one (CPU protocol, GPU protocol) combination from the
 // paper's Spandex configurations.

@@ -5,12 +5,9 @@ import (
 	"reflect"
 
 	"spandex/internal/core"
-	"spandex/internal/denovo"
 	"spandex/internal/device"
 	"spandex/internal/dram"
-	"spandex/internal/gpucoh"
 	"spandex/internal/memaddr"
-	"spandex/internal/mesi"
 	"spandex/internal/noc"
 	"spandex/internal/proto"
 	"spandex/internal/sim"
@@ -118,20 +115,15 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 	w.chk = core.NewChecker()
 	w.chk.Collect = true
 	w.chk.CheckEveryTransition = true
-	for b := 0; b < banks; b++ {
-		llc := core.NewLLC(llcID+proto.NodeID(b), memID, w.eng, w.net, w.st, core.Config{
-			SizeBytes: llcBytes, Ways: llcWays, AccessLatency: 1,
-			BankStride: banks, BankIndex: b,
-		})
-		llc.SetChecker(w.chk)
-		if cov != nil {
-			llc.SetCoverage(cov)
-		}
-		w.llcs = append(w.llcs, llc)
+	w.llcs = core.NewBanks(llcID, memID, banks, w.eng, w.net, w.st, core.Config{
+		SizeBytes: llcBytes, Ways: llcWays, AccessLatency: 1,
+	}, w.chk, cov)
+	l1c := core.L1Config{
+		SizeBytes: scn.DevBytes, Ways: scn.DevWays,
+		MSHREntries: 8, BufferEntries: 8, HitLatency: 1,
 	}
-	devBytes, devWays := scn.DevBytes, scn.DevWays
-	if devBytes == 0 {
-		devBytes, devWays = 4*memaddr.LineBytes, 2
+	if l1c.SizeBytes == 0 {
+		l1c.SizeBytes, l1c.Ways = 4*memaddr.LineBytes, 2
 	}
 
 	for i, spec := range scn.Devices {
@@ -150,54 +142,11 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 				panic("mcheck: scripts are restricted to loads, stores, fetch-adds and fences")
 			}
 		}
-		registerAll := func(isMESI bool) {
-			for _, llc := range w.llcs {
-				llc.RegisterDevice(id, isMESI)
-			}
-		}
-		switch spec.Proto {
-		case ProtoMESI:
-			tu := core.NewMESITU(id, w.eng, w.net, w.st, llcID, 1)
-			tu.SetLLCBanks(banks)
-			mc := mesi.DefaultConfig(llcID)
-			mc.ParentBanks = banks
-			mc.SizeBytes, mc.Ways = devBytes, devWays
-			mc.MSHREntries, mc.StoreBufferEntries = 8, 8
-			mc.HitLatency = 1
-			l1 := mesi.New(id, w.eng, tu, w.st, mc)
-			tu.Bind(l1)
-			registerAll(true)
-			w.chk.AttachDevice(id, tu)
-			tu.SetChecker(w.chk)
-			d.l1 = l1
-			d.holds = tu.HoldsExternalFor
-		case ProtoDeNovo:
-			tu := core.NewPassTU(id, w.eng, w.net, 1)
-			dc := denovo.DefaultConfig(llcID, false)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = devBytes, devWays
-			dc.MSHREntries, dc.WriteBufferEntries = 8, 8
-			dc.HitLatency = 1
-			l1 := denovo.New(id, w.eng, tu, w.st, dc)
-			tu.Bind(l1)
-			registerAll(false)
-			w.chk.AttachDevice(id, l1)
-			d.l1 = l1
-			d.holds = l1.HoldsExternalFor
-		case ProtoGPU:
-			tu := core.NewPassTU(id, w.eng, w.net, 1)
-			gc := gpucoh.DefaultConfig(llcID)
-			gc.ParentBanks = banks
-			gc.SizeBytes, gc.Ways = devBytes, devWays
-			gc.MSHREntries, gc.WriteBufferEntries = 8, 8
-			gc.HitLatency = 1
-			l1 := gpucoh.New(id, w.eng, tu, w.st, gc)
-			tu.Bind(l1)
-			registerAll(false)
-			w.chk.AttachDevice(id, l1)
-			d.l1 = l1
-		default:
-			panic("mcheck: unknown protocol " + string(spec.Proto))
+		l1c.Protocol = spec.Proto.l1Protocol()
+		r := core.AttachRequestor(id, w.eng, w.net, w.st, w.llcs, w.chk, 1, l1c)
+		d.l1 = r.L1
+		if h, ok := r.Probe.(interface{ HoldsExternalFor(proto.NodeID) bool }); ok {
+			d.holds = h.HoldsExternalFor
 		}
 		w.devs = append(w.devs, d)
 	}

@@ -47,6 +47,18 @@ const (
 	TopoRing
 )
 
+func (t Topology) String() string {
+	switch t {
+	case TopoDirect:
+		return "direct"
+	case TopoMesh:
+		return "mesh"
+	case TopoRing:
+		return "ring"
+	}
+	return fmt.Sprintf("Topology(%d)", uint8(t))
+}
+
 // Config sets the interconnect timing parameters.
 type Config struct {
 	// HopLatency is the per-hop router+wire latency in ticks.

@@ -79,8 +79,9 @@ func (w *ReuseO) Build(m Machine, seed uint64) *Program {
 				}
 				t.Wait(bar)
 				// Sparse strided reads of the other device's matrix: its
-				// dense phase for this iteration is complete.
-				for r := 0; r < w.SparseReads; r++ {
+				// dense phase for this iteration is complete. A one-class
+				// machine has no other matrix.
+				for r := 0; r < w.SparseReads && remoteWords > 0; r++ {
 					k := rng.Intn(remoteWords)
 					v := t.Load(Word(remoteBase, k))
 					if v != uint32(it+1) {

@@ -1,11 +1,14 @@
 package spandex
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // badParams are FastParams geometries that NewSystem or Run cannot
 // survive: unchecked, each panics (integer divide by zero, index out of
-// range, an indivisible cache array, MSHR overflow) or spins to the
-// MaxTime abort. Validate must reject every one up front.
+// range, an indivisible cache array, MSHR overflow, out of memory) or
+// spins to the MaxTime abort. Validate must reject every one up front.
 var badParams = []struct {
 	name   string
 	config string
@@ -22,6 +25,9 @@ var badParams = []struct {
 	{"MSHREntries=0", "SMG", func(p *SystemParams) { p.MSHREntries = 0 }},
 	{"StoreBufferEntries=0", "SMG", func(p *SystemParams) { p.StoreBufferEntries = 0 }},
 	{"MSHREntries<StoreBufferEntries", "SMD", func(p *SystemParams) { p.MSHREntries = 1 }},
+	// Found by FuzzNewSystemParams: workloads size per-thread channels by
+	// GPUCUs*WarpsPerCU, so a negative count asked for ~64 GB.
+	{"WarpsPerCU=-55", "SMD", func(p *SystemParams) { p.WarpsPerCU = -55 }},
 }
 
 func TestValidateRejectsUnbuildableParams(t *testing.T) {
@@ -37,42 +43,59 @@ func TestValidateRejectsUnbuildableParams(t *testing.T) {
 	}
 }
 
-// FuzzNewSystemParams varies FastParams' cache geometry, queue sizes,
-// bank count and NoC bandwidth. Whatever Validate accepts must build and
-// run the litmus workload to completion on the chosen configuration;
-// whatever it rejects, NewSystem must reject too. The seed corpus is the
-// badParams table plus FastParams itself.
+// FuzzNewSystemParams varies FastParams' device list (0–8 CPU-class and
+// 0–8 GPU-class devices, either class first), warps per CU, cache
+// geometry, queue sizes, bank count, NoC topology, mesh width and
+// bandwidth. Whatever Validate accepts must build and run the litmus
+// workload to completion, final-state oracle included, on the chosen
+// configuration; whatever it rejects, NewSystem must reject too. The seed
+// corpus is the badParams table, FastParams itself, and CPU-only and
+// GPU-only machines on every configuration.
 func FuzzNewSystemParams(f *testing.F) {
-	seed := func(cfg uint8, p SystemParams) {
-		f.Add(cfg, p.L1SizeBytes, p.L1Ways, p.SpandexLLCWays, p.LLCBanks, p.GPUL2Ways, p.L3Ways,
-			p.MSHREntries, p.StoreBufferEntries, p.NoCBytesPerCyc)
+	seed := func(cfg int, p SystemParams) {
+		devs := p.DeviceList()
+		f.Add(uint8(cfg), uint8(p.NumCPUs()), uint8(p.NumGPUs()), devs[0].Class == ClassGPU, p.WarpsPerCU,
+			p.L1SizeBytes, p.L1Ways, p.SpandexLLCWays, p.LLCBanks, p.GPUL2Ways, p.L3Ways,
+			p.MSHREntries, p.StoreBufferEntries, uint8(p.Topology), p.NoCMeshWidth, p.NoCBytesPerCyc)
 	}
 	seed(5, FastParams()) // SDD
 	for _, tc := range badParams {
 		p := FastParams()
 		tc.edit(&p)
-		for i, name := range ConfigNames() {
-			if name == tc.config {
-				seed(uint8(i), p)
-			}
+		seed(slices.Index(ConfigNames(), tc.config), p)
+	}
+	for cfg := range ConfigNames() {
+		for _, class := range []DeviceClass{ClassCPU, ClassGPU} {
+			p := FastParams()
+			p.Devices = []DeviceSpec{{Class: class, Count: 2}}
+			seed(cfg, p)
 		}
 	}
-	f.Fuzz(func(t *testing.T, cfg uint8, l1Bytes, l1Ways, llcWays, banks, l2Ways, l3Ways, mshr, sb, bw int) {
+	gpuFirst := FastParams()
+	gpuFirst.Devices = []DeviceSpec{{Class: ClassGPU, Count: 3}, {Class: ClassCPU, Count: 1}}
+	gpuFirst.LLCBanks, gpuFirst.Topology, gpuFirst.NoCMeshWidth = 2, TopoRing, 3
+	seed(3, gpuFirst) // SMD
+	f.Fuzz(func(t *testing.T, cfg, nCPU, nGPU uint8, gpuFirst bool, warps,
+		l1Bytes, l1Ways, llcWays, banks, l2Ways, l3Ways, mshr, sb int, topo uint8, meshWidth, bw int) {
 		// Keep the machine small enough to build and run in milliseconds.
-		if l1Bytes > 64<<10 || banks > 16 || mshr > 256 || sb > 256 || bw > 256 ||
+		if nCPU > 8 || nGPU > 8 || warps > 8 || meshWidth > 16 ||
+			l1Bytes > 64<<10 || banks > 16 || mshr > 256 || sb > 256 || bw > 256 ||
 			max(l1Ways, llcWays, l2Ways, l3Ways) > 64 {
 			return
 		}
 		p := FastParams()
+		p.Devices = []DeviceSpec{{Class: ClassCPU, Count: int(nCPU)}, {Class: ClassGPU, Count: int(nGPU)}}
+		if gpuFirst {
+			slices.Reverse(p.Devices)
+		}
+		p.WarpsPerCU = warps
 		p.L1SizeBytes, p.L1Ways, p.SpandexLLCWays, p.LLCBanks = l1Bytes, l1Ways, llcWays, banks
 		p.GPUL2Ways, p.L3Ways = l2Ways, l3Ways
-		p.MSHREntries, p.StoreBufferEntries, p.NoCBytesPerCyc = mshr, sb, bw
-		if p.LLCBanks > 1 {
-			p.Topology = TopoMesh
-		}
+		p.MSHREntries, p.StoreBufferEntries = mshr, sb
+		p.Topology, p.NoCMeshWidth, p.NoCBytesPerCyc = NoCTopology(topo), meshWidth, bw
 		// litmus finishes within 5M ticks on FastParams; 200x that is a hang.
 		opt := Options{ConfigName: ConfigNames()[int(cfg)%len(ConfigNames())], Params: &p, Seed: 1,
-			MaxTime: 1e9}
+			MaxTime: 1e9, Validate: true}
 		if p.Validate() != nil {
 			if _, err := NewSystem(opt); err == nil {
 				t.Fatalf("NewSystem accepted params Validate rejects: %+v", p)

@@ -25,13 +25,10 @@ import (
 
 	"spandex/internal/config"
 	"spandex/internal/core"
-	"spandex/internal/denovo"
 	"spandex/internal/device"
 	"spandex/internal/dram"
-	"spandex/internal/gpucoh"
 	"spandex/internal/hmesi"
 	"spandex/internal/memaddr"
-	"spandex/internal/mesi"
 	"spandex/internal/noc"
 	"spandex/internal/obs"
 	"spandex/internal/proto"
@@ -246,8 +243,8 @@ type System struct {
 	Dir   *hmesi.Directory
 	GPUL2 *hmesi.GPUL2
 
-	CPUL1s []device.L1Cache
-	GPUL1s []device.L1Cache
+	CPUL1s []core.L1
+	GPUL1s []core.L1
 
 	// cpuIDs/gpuIDs are the NodeIDs of the CPU- and GPU-class devices in
 	// construction order (CPUL1s[i] is node cpuIDs[i]); with a legacy
@@ -291,44 +288,44 @@ func NewSystem(opt Options) (*System, error) {
 		params: params,
 	}
 
-	nDev := params.NumDevices()
-	extra := params.Banks() + 1 // LLC banks + memory
+	// NodeID layout: the devices in DeviceList order, then the coherence
+	// point (the LLC banks, or the hierarchical GPU L2 and L3 directory),
+	// then memory.
+	first := proto.NodeID(params.NumDevices())
+	memID := first + proto.NodeID(params.Banks())
 	if cfg.LLC == config.LLCHierarchicalMESI {
-		extra = 3 // GPU L2 + L3 + memory (never banked)
-	}
-	var topo noc.Topology
-	switch params.Topology {
-	case config.TopoDirect:
-		topo = noc.TopoDirect
-	case config.TopoMesh:
-		topo = noc.TopoMesh
-	case config.TopoRing:
-		topo = noc.TopoRing
-	default:
-		panic("spandex: unknown topology") // unreachable: Params.Validate ran
+		memID = first + 2 // never banked
 	}
 	s.Net = noc.New(s.Engine, s.Stats, noc.Config{
 		HopLatency:   sim.CPUCycles(params.NoCHopCycles),
 		TicksPerByte: params.NoCTicksPerByte(),
 		MeshWidth:    params.NoCMeshWidth,
-		Topology:     topo,
-	}, nDev+extra)
+		Topology:     params.Topology,
+	}, int(memID)+1)
+	s.Mem = dram.New(memID, s.Engine, s.Net, sim.CPUCycles(params.MemLatencyCycles))
 
-	switch cfg.LLC {
-	case config.LLCSpandex:
-		s.buildSpandex(opt)
-	case config.LLCHierarchicalMESI:
-		s.buildHierarchical(opt)
+	if cfg.LLC == config.LLCHierarchicalMESI {
+		s.buildHierarchical(first, memID)
+	} else {
+		s.buildSpandex(opt, first, memID)
+	}
+	id := proto.NodeID(0)
+	for _, spec := range params.DeviceList() {
+		for k := 0; k < spec.Count; k++ {
+			l1 := s.attach(id, spec.Class)
+			if spec.Class == config.ClassCPU {
+				s.CPUL1s, s.cpuIDs = append(s.CPUL1s, l1), append(s.cpuIDs, id)
+			} else {
+				s.GPUL1s, s.gpuIDs = append(s.GPUL1s, l1), append(s.gpuIDs, id)
+			}
+			id++
+		}
 	}
 	if opt.TraceLatency || opt.TraceOccupancy || opt.TraceSink != nil || opt.Metrics != nil {
 		s.installObserver(opt)
 	}
 	return s, nil
 }
-
-// l1Observable is implemented by every L1 protocol controller that supports
-// request tracing and occupancy sampling.
-type l1Observable interface{ SetObserver(*obs.Recorder) }
 
 // installObserver creates the recorder the options ask for and threads it
 // through the NoC, the LLC and every L1. Cores and CUs attach later
@@ -337,7 +334,7 @@ type l1Observable interface{ SetObserver(*obs.Recorder) }
 // events, touches stats, or alters any message, so an instrumented run is
 // cycle-identical to a bare one.
 func (s *System) installObserver(opt Options) {
-	cfg := obs.Config{Latency: opt.TraceLatency, Sink: opt.TraceSink}
+	cfg := obs.Config{Latency: opt.TraceLatency, Sink: opt.TraceSink, MemID: s.Mem.ID}
 	if opt.Metrics != nil || opt.TraceOccupancy {
 		var mc MetricsOptions
 		if opt.Metrics != nil {
@@ -346,18 +343,13 @@ func (s *System) installObserver(opt Options) {
 		mc.LLC = mc.LLC || opt.TraceOccupancy
 		cfg.Metrics = obs.NewMetrics(mc)
 	}
-	nDev := s.params.NumDevices()
-	if s.cfg.LLC == config.LLCHierarchicalMESI {
+	if s.Dir != nil {
 		// GPU L2 and the L3 directory both act as "the LLC" for phase
-		// attribution; memory is one node further.
-		cfg.LLCNodes = []proto.NodeID{proto.NodeID(nDev), proto.NodeID(nDev + 1)}
-		cfg.MemID = proto.NodeID(nDev + 2)
-	} else {
-		banks := s.params.Banks()
-		for b := 0; b < banks; b++ {
-			cfg.LLCNodes = append(cfg.LLCNodes, proto.NodeID(nDev+b))
-		}
-		cfg.MemID = proto.NodeID(nDev + banks)
+		// attribution.
+		cfg.LLCNodes = []proto.NodeID{s.GPUL2.ID, s.Dir.ID}
+	}
+	for _, bank := range s.Banks {
+		cfg.LLCNodes = append(cfg.LLCNodes, bank.ID)
 	}
 	s.obs = obs.New(cfg)
 	if cfg.Sink != nil {
@@ -371,156 +363,73 @@ func (s *System) installObserver(opt Options) {
 	for _, bank := range s.Banks {
 		bank.SetObserver(s.obs)
 	}
-	for _, l1 := range s.CPUL1s {
-		if o, ok := l1.(l1Observable); ok {
-			o.SetObserver(s.obs)
-		}
-	}
-	for _, l1 := range s.GPUL1s {
-		if o, ok := l1.(l1Observable); ok {
-			o.SetObserver(s.obs)
+	for _, l1s := range [][]core.L1{s.CPUL1s, s.GPUL1s} {
+		for _, l1 := range l1s {
+			l1.SetObserver(s.obs)
 		}
 	}
 }
 
-func (s *System) buildSpandex(opt Options) {
+// l1Config describes the L1 of a class-c device: the protocol Table V
+// gives its class, the shared Table VI geometry, and its class's clock
+// as hit latency.
+func (s *System) l1Config(c config.DeviceClass) core.L1Config {
 	p := s.params
-	nDev := p.NumDevices()
-	banks := p.Banks()
-	llcID := proto.NodeID(nDev)
-	memID := proto.NodeID(nDev + banks)
-
-	for b := 0; b < banks; b++ {
-		bank := core.NewLLC(llcID+proto.NodeID(b), memID, s.Engine, s.Net, s.Stats, core.Config{
-			SizeBytes:     p.SpandexLLCBytes / banks,
-			Ways:          p.SpandexLLCWays,
-			AccessLatency: sim.CPUCycles(p.L2HitCycles),
-			ReqSOption2:   opt.ReqSOption2,
-			BankStride:    banks,
-			BankIndex:     b,
-		})
-		s.Banks = append(s.Banks, bank)
+	l1 := core.L1Config{
+		Protocol:  core.DeNovo,
+		SizeBytes: p.L1SizeBytes, Ways: p.L1Ways,
+		MSHREntries: p.MSHREntries, BufferEntries: p.StoreBufferEntries,
+		HitLatency: sim.CPUCycle,
 	}
-	s.LLC = s.Banks[0]
-	s.Mem = dram.New(memID, s.Engine, s.Net, sim.CPUCycles(p.MemLatencyCycles))
+	switch {
+	case c == config.ClassGPU:
+		l1.HitLatency = sim.GPUCycle
+		if s.cfg.GPU == config.GPUCoherence {
+			l1.Protocol = core.GPUCoherence
+		}
+	case s.cfg.CPU == config.CPUMESI:
+		l1.Protocol = core.MESI
+	default:
+		// SDG: CPU atomics are performed at the LLC (ReqWT+data) to match
+		// the GPU-coherence strategy and avoid blocking states on
+		// inter-device synchronization (paper §IV-A).
+		l1.AtomicsAtLLC = s.cfg.GPU == config.GPUCoherence
+	}
+	return l1
+}
+
+// buildSpandex builds the banked Spandex LLC at NodeIDs first...
+func (s *System) buildSpandex(opt Options, first, memID proto.NodeID) {
+	p := s.params
 	if opt.CheckInvariants || opt.CheckEveryTransition {
 		s.Checker = core.NewChecker()
 		// Collect instead of panicking so violations reach Result.Violations
-		// with the run's measurements intact. One checker spans every bank:
-		// lines are partitioned across banks, so per-line records never
-		// collide, and device bookkeeping is naturally shared.
+		// with the run's measurements intact.
 		s.Checker.Collect = true
 		s.Checker.CheckEveryTransition = opt.CheckEveryTransition
-		for _, bank := range s.Banks {
-			bank.SetChecker(s.Checker)
-		}
 	}
 	if opt.RecordTransitions || opt.CheckEveryTransition {
 		s.Coverage = core.NewTransitionCoverage()
-		for _, bank := range s.Banks {
-			bank.SetCoverage(s.Coverage)
-		}
 	}
-
-	registerAll := func(id proto.NodeID, isMESI bool) {
-		for _, bank := range s.Banks {
-			bank.RegisterDevice(id, isMESI)
-		}
-	}
-	buildCPU := func(id proto.NodeID) {
-		switch s.cfg.CPU {
-		case config.CPUMESI:
-			tu := core.NewMESITU(id, s.Engine, s.Net, s.Stats, llcID, p.TUTicks())
-			tu.SetLLCBanks(banks)
-			mc := mesi.DefaultConfig(llcID)
-			mc.ParentBanks = banks
-			mc.SizeBytes, mc.Ways = p.L1SizeBytes, p.L1Ways
-			mc.MSHREntries, mc.StoreBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := mesi.New(id, s.Engine, tu, s.Stats, mc)
-			tu.Bind(l1)
-			registerAll(id, true)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, tu)
-				tu.SetChecker(s.Checker)
-			}
-			s.CPUL1s = append(s.CPUL1s, l1)
-		case config.CPUDeNovo:
-			tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
-			dc := denovo.DefaultConfig(llcID, false)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			// SDG: CPU atomics are performed at the LLC (ReqWT+data) to
-			// match the GPU-coherence strategy and avoid blocking states
-			// on inter-device synchronization (paper §IV-A).
-			dc.AtomicsAtLLC = s.cfg.GPU == config.GPUCoherence
-			l1 := denovo.New(id, s.Engine, tu, s.Stats, dc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.CPUL1s = append(s.CPUL1s, l1)
-		}
-	}
-	buildGPU := func(id proto.NodeID) {
-		tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
-		switch s.cfg.GPU {
-		case config.GPUCoherence:
-			gc := gpucoh.DefaultConfig(llcID)
-			gc.ParentBanks = banks
-			gc.SizeBytes, gc.Ways = p.L1SizeBytes, p.L1Ways
-			gc.MSHREntries, gc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := gpucoh.New(id, s.Engine, tu, s.Stats, gc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.GPUL1s = append(s.GPUL1s, l1)
-		case config.GPUDeNovo:
-			dc := denovo.DefaultConfig(llcID, true)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := denovo.New(id, s.Engine, tu, s.Stats, dc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.GPUL1s = append(s.GPUL1s, l1)
-		}
-	}
-	id := proto.NodeID(0)
-	for _, spec := range p.DeviceList() {
-		for k := 0; k < spec.Count; k++ {
-			switch spec.Class {
-			case config.ClassCPU:
-				buildCPU(id)
-				s.cpuIDs = append(s.cpuIDs, id)
-			case config.ClassGPU:
-				buildGPU(id)
-				s.gpuIDs = append(s.gpuIDs, id)
-			}
-			id++
-		}
-	}
+	banks := p.Banks()
+	s.Banks = core.NewBanks(first, memID, banks, s.Engine, s.Net, s.Stats, core.Config{
+		SizeBytes:     p.SpandexLLCBytes / banks,
+		Ways:          p.SpandexLLCWays,
+		AccessLatency: sim.CPUCycles(p.L2HitCycles),
+		ReqSOption2:   opt.ReqSOption2,
+	}, s.Checker, s.Coverage)
+	s.LLC = s.Banks[0]
 }
 
-func (s *System) buildHierarchical(opt Options) {
+// buildHierarchical builds the GPU L2 (at first) and the L3 directory.
+func (s *System) buildHierarchical(first, memID proto.NodeID) {
 	p := s.params
-	nDev := p.NumDevices()
-	l2ID := proto.NodeID(nDev)
-	dirID := proto.NodeID(nDev + 1)
-	memID := proto.NodeID(nDev + 2)
-
+	l2ID, dirID := first, first+1
 	s.Dir = hmesi.NewDirectory(dirID, memID, s.Engine, s.Net, s.Stats, hmesi.DirConfig{
 		SizeBytes:     p.L3Bytes,
 		Ways:          p.L3Ways,
 		AccessLatency: sim.CPUCycles(p.L3HitCycles),
 	})
-	s.Mem = dram.New(memID, s.Engine, s.Net, sim.CPUCycles(p.MemLatencyCycles))
 	s.GPUL2 = hmesi.NewGPUL2(l2ID, s.Engine, s.Net, s.Stats, hmesi.L2Config{
 		SizeBytes:     p.GPUL2Bytes,
 		Ways:          p.GPUL2Ways,
@@ -528,49 +437,26 @@ func (s *System) buildHierarchical(opt Options) {
 		ParentID:      dirID,
 	})
 	s.Dir.RegisterDevice(l2ID)
+}
 
-	buildCPU := func(id proto.NodeID) {
-		mc := mesi.DefaultConfig(dirID)
-		mc.SizeBytes, mc.Ways = p.L1SizeBytes, p.L1Ways
-		mc.MSHREntries, mc.StoreBufferEntries = p.MSHREntries, p.StoreBufferEntries
-		l1 := mesi.New(id, s.Engine, s.Net.PortFor(id), s.Stats, mc)
-		s.Net.Register(id, l1)
-		s.Dir.RegisterDevice(id)
-		s.CPUL1s = append(s.CPUL1s, l1)
+// attach builds node id's L1 and wires it to the coherence point: through
+// a translation unit to every Spandex LLC bank, or, in the hierarchical
+// baseline, under the L3 directory (CPUs) or the GPU L2 (GPUs).
+func (s *System) attach(id proto.NodeID, c config.DeviceClass) core.L1 {
+	l1c := s.l1Config(c)
+	if s.Dir == nil {
+		return core.AttachRequestor(id, s.Engine, s.Net, s.Stats, s.Banks, s.Checker, s.params.TUTicks(), l1c).L1
 	}
-	buildGPU := func(id proto.NodeID) {
-		switch s.cfg.GPU {
-		case config.GPUCoherence:
-			gc := gpucoh.DefaultConfig(l2ID)
-			gc.SizeBytes, gc.Ways = p.L1SizeBytes, p.L1Ways
-			gc.MSHREntries, gc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := gpucoh.New(id, s.Engine, s.Net.PortFor(id), s.Stats, gc)
-			s.Net.Register(id, l1)
-			s.GPUL1s = append(s.GPUL1s, l1)
-		case config.GPUDeNovo:
-			dc := denovo.DefaultConfig(l2ID, true)
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := denovo.New(id, s.Engine, s.Net.PortFor(id), s.Stats, dc)
-			s.Net.Register(id, l1)
-			s.GPUL1s = append(s.GPUL1s, l1)
-		}
+	if c == config.ClassCPU {
+		l1c.Parent = s.Dir.ID
+		s.Dir.RegisterDevice(id)
+	} else {
+		l1c.Parent = s.GPUL2.ID
 		s.GPUL2.RegisterChild(id)
 	}
-	id := proto.NodeID(0)
-	for _, spec := range p.DeviceList() {
-		for k := 0; k < spec.Count; k++ {
-			switch spec.Class {
-			case config.ClassCPU:
-				buildCPU(id)
-				s.cpuIDs = append(s.cpuIDs, id)
-			case config.ClassGPU:
-				buildGPU(id)
-				s.gpuIDs = append(s.gpuIDs, id)
-			}
-			id++
-		}
-	}
+	l1 := core.NewL1(id, s.Engine, s.Net.PortFor(id), s.Stats, l1c)
+	s.Net.Register(id, l1)
+	return l1
 }
 
 // Machine reports the shape workloads should be built for.
@@ -701,10 +587,15 @@ func (s *System) Run(maxTime sim.Time) (Result, error) {
 }
 
 // Reader returns a coherent word-reader for post-run validation. Reads go
-// through CPU core 0's cache (self-invalidating first), so they exercise
-// the real protocol rather than peeking at simulator state.
+// through CPU core 0's cache, or GPU CU 0's on a machine without CPUs
+// (self-invalidating first), so they exercise the real protocol rather
+// than peeking at simulator state.
 func (s *System) Reader() func(memaddr.Addr) uint32 {
-	l1 := s.CPUL1s[0]
+	l1s := s.CPUL1s
+	if len(l1s) == 0 {
+		l1s = s.GPUL1s
+	}
+	l1 := l1s[0]
 	return func(a memaddr.Addr) uint32 {
 		l1.SelfInvalidate()
 		var v uint32

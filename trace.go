@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"spandex/internal/config"
 	"spandex/internal/obs"
 )
 
@@ -48,27 +47,22 @@ func (s *System) nameNodes(sink any) {
 	if !ok {
 		return
 	}
-	p := s.params
 	for i, id := range s.cpuIDs {
 		n.SetNodeName(int(id), fmt.Sprintf("cpu%d", i))
 	}
 	for i, id := range s.gpuIDs {
 		n.SetNodeName(int(id), fmt.Sprintf("cu%d", i))
 	}
-	nDev := p.NumDevices()
-	if s.cfg.LLC == config.LLCHierarchicalMESI {
-		n.SetNodeName(nDev, "gpuL2")
-		n.SetNodeName(nDev+1, "dir")
-		n.SetNodeName(nDev+2, "mem")
-	} else {
-		banks := p.Banks()
-		if banks == 1 {
-			n.SetNodeName(nDev, "llc")
-		} else {
-			for b := 0; b < banks; b++ {
-				n.SetNodeName(nDev+b, fmt.Sprintf("llc%d", b))
-			}
+	switch {
+	case s.Dir != nil:
+		n.SetNodeName(int(s.GPUL2.ID), "gpuL2")
+		n.SetNodeName(int(s.Dir.ID), "dir")
+	case len(s.Banks) == 1:
+		n.SetNodeName(int(s.LLC.ID), "llc")
+	default:
+		for b, bank := range s.Banks {
+			n.SetNodeName(int(bank.ID), fmt.Sprintf("llc%d", b))
 		}
-		n.SetNodeName(nDev+banks, "mem")
 	}
+	n.SetNodeName(int(s.Mem.ID), "mem")
 }
