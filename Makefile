@@ -8,11 +8,11 @@ GO ?= go
 	mutants crosscheck \
 	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
 	flow flow-check flow-mutants indep indep-check scale-smoke examples-smoke \
-	fuzz-smoke
+	fuzz-smoke bench-smoke
 
 ci: build vet fmt lint test race smoke examples-smoke check transgraph-check \
 	flow-check indep-check flow-mutants mcheck-smoke mutants trace-smoke \
-	metrics-smoke fuzz fuzz-mutants scale-smoke fuzz-smoke
+	metrics-smoke fuzz fuzz-mutants scale-smoke fuzz-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Layer microbenchmarks, one iteration each so they keep compiling and
+# running: machine construction per Table V configuration, and the
+# conformance oracle on both fuzz geometries.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^Benchmark(NewSystem|CheckCase)$$' -benchtime 1x . ./internal/conform
 
 # Perf-regression gate (the CI bench-gate job): a paired A/B of the
 # single-worker headline sweep at HEAD~1 vs the checked-out tree; fails on

@@ -206,3 +206,22 @@ func BenchmarkHeadlineSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// BenchmarkNewSystem/<config> is the construction layer: one FastParams
+// machine built and retired the way Run retires it (Engine.Release), with
+// no program attached.
+func BenchmarkNewSystem(b *testing.B) {
+	p := FastParams()
+	for _, cn := range ConfigNames() {
+		b.Run(cn, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewSystem(Options{ConfigName: cn, Params: &p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Engine.Release()
+			}
+		})
+	}
+}

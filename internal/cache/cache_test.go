@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +239,116 @@ func TestWriteBufferProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// slotCapacities are buffer sizes around the slot-chunk boundaries: one
+// partial chunk, exactly one and two chunks, one slot into a third, and
+// the default machine's 128.
+var slotCapacities = []int{1, 8, 16, 17, 128}
+
+// reuseOrder frees every other entry of a full buffer of n, top down, and
+// returns the freed indices lowest first: the order a lowest-free-slot
+// allocator must hand the slots back.
+func reuseOrder(n int, free func(i int)) []int {
+	var freed []int
+	for i := n - 1; i >= 0; i -= 2 {
+		free(i)
+		freed = append([]int{i}, freed...)
+	}
+	return freed
+}
+
+// TestMSHRSlots fills MSHRs to capacity and checks that Full turns true
+// exactly there, that entry pointers survive every later allocation, and
+// that freed slots are reused lowest first.
+func TestMSHRSlots(t *testing.T) {
+	for _, n := range slotCapacities {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			m := NewMSHR[int](n)
+			ptrs := make([]*int, n)
+			for i := range ptrs {
+				if m.Full() {
+					t.Fatalf("full with %d of %d entries", i, n)
+				}
+				ptrs[i] = m.Alloc(line(uint64(i)))
+				*ptrs[i] = i
+			}
+			if !m.Full() || m.Len() != n {
+				t.Fatalf("Full=%v Len=%d at capacity %d", m.Full(), m.Len(), n)
+			}
+			for i, p := range ptrs {
+				if got := m.Lookup(line(uint64(i))); got != p || *got != i {
+					t.Fatalf("entry %d moved or changed", i)
+				}
+			}
+			freed := reuseOrder(n, func(i int) { m.Free(line(uint64(i))) })
+			for j, i := range freed {
+				if p := m.Alloc(line(uint64(n + j))); p != ptrs[i] {
+					t.Fatalf("allocation %d after frees did not reuse slot %d (freed %v)", j, i, freed)
+				}
+			}
+			if !m.Full() {
+				t.Fatal("not full after refilling the freed slots")
+			}
+			for i := n - 2; i >= 0; i -= 2 {
+				if got := m.Lookup(line(uint64(i))); got != ptrs[i] || *got != i {
+					t.Fatalf("surviving entry %d moved or changed", i)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteBufferSlots is TestMSHRSlots for write buffers, and also
+// checks that issue order stays allocation (FIFO) order when refilled
+// slots are not in age order.
+func TestWriteBufferSlots(t *testing.T) {
+	addr := func(i int) memaddr.Addr { return memaddr.Addr(i) << memaddr.LineShift }
+	for _, n := range slotCapacities {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			w := NewWriteBuffer(n)
+			ptrs := make([]*WBEntry, n)
+			for i := range ptrs {
+				if w.Full() {
+					t.Fatalf("full with %d of %d entries", i, n)
+				}
+				w.Put(addr(i), uint32(i))
+				ptrs[i] = w.Lookup(addr(i).Line())
+			}
+			if !w.Full() || w.Len() != n {
+				t.Fatalf("Full=%v Len=%d at capacity %d", w.Full(), w.Len(), n)
+			}
+			for i, p := range ptrs {
+				if got := w.Lookup(addr(i).Line()); got != p || got.Data[0] != uint32(i) {
+					t.Fatalf("entry %d moved or changed", i)
+				}
+			}
+			freed := reuseOrder(n, func(i int) { w.Complete(addr(i).Line()) })
+			var want []memaddr.LineAddr
+			for i := n - 2; i >= 0; i -= 2 {
+				want = append([]memaddr.LineAddr{addr(i).Line()}, want...)
+			}
+			for j, i := range freed {
+				w.Put(addr(n+j), 0)
+				if p := w.Lookup(addr(n + j).Line()); p != ptrs[i] {
+					t.Fatalf("allocation %d after frees did not reuse slot %d (freed %v)", j, i, freed)
+				}
+				want = append(want, addr(n+j).Line())
+			}
+			if !w.Full() {
+				t.Fatal("not full after refilling the freed slots")
+			}
+			var got []memaddr.LineAddr
+			for _, e := range w.Unissued() {
+				got = append(got, e.Line)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("issue order %v, want allocation order %v", got, want)
+			}
+			if e := w.NextUnissued(); e.Line != want[0] {
+				t.Fatalf("oldest unissued %v, want %v", e.Line, want[0])
+			}
+		})
 	}
 }

@@ -1,38 +1,31 @@
 package cache
 
-import (
-	"math/bits"
-
-	"spandex/internal/memaddr"
-)
+import "spandex/internal/memaddr"
 
 // MSHR is a miss-status holding register file: one entry per outstanding
-// line transaction, with protocol-specific payload T. Entries live in a
-// fixed slot array; allocation picks the first free slot by a
-// trailing-zero scan over a free bitmap, so the steady state allocates
-// nothing and entry pointers stay valid for the entry's lifetime (the
-// slot array never grows).
+// line transaction, with protocol-specific payload T. Allocation picks
+// the lowest free slot by a trailing-zero scan over an occupancy bitmap,
+// so the steady state allocates nothing. Slots are allocated in chunks
+// as allocation first reaches them (see chunkSlots), and entry pointers stay
+// valid for the entry's lifetime.
 type MSHR[T any] struct {
-	slots  []T
-	free   []uint64 // 1 = slot free
-	byLine map[memaddr.LineAddr]int32
+	slots    [][]T
+	occ      []uint64 // 1 = slot in use
+	capacity int
+	byLine   map[memaddr.LineAddr]int32
 }
 
 // NewMSHR creates an MSHR file with the given capacity.
 func NewMSHR[T any](capacity int) *MSHR[T] {
-	m := &MSHR[T]{
-		slots:  make([]T, capacity),
-		free:   make([]uint64, (capacity+63)/64),
-		byLine: make(map[memaddr.LineAddr]int32, capacity),
+	return &MSHR[T]{
+		occ:      make([]uint64, (capacity+63)/64),
+		capacity: capacity,
+		byLine:   make(map[memaddr.LineAddr]int32),
 	}
-	for i := 0; i < capacity; i++ {
-		m.free[i>>6] |= 1 << (i & 63)
-	}
-	return m
 }
 
 // Full reports whether a new allocation would exceed capacity.
-func (m *MSHR[T]) Full() bool { return len(m.byLine) >= len(m.slots) }
+func (m *MSHR[T]) Full() bool { return len(m.byLine) >= m.capacity }
 
 // Len returns the number of live entries.
 func (m *MSHR[T]) Len() int { return len(m.byLine) }
@@ -40,7 +33,7 @@ func (m *MSHR[T]) Len() int { return len(m.byLine) }
 // Lookup returns the entry for line, or nil.
 func (m *MSHR[T]) Lookup(line memaddr.LineAddr) *T {
 	if i, ok := m.byLine[line]; ok {
-		return &m.slots[i]
+		return slotAt(m.slots, i)
 	}
 	return nil
 }
@@ -49,24 +42,10 @@ func (m *MSHR[T]) Lookup(line memaddr.LineAddr) *T {
 // panics if the line already has an entry or the file is full; callers
 // must check first.
 func (m *MSHR[T]) Alloc(line memaddr.LineAddr) *T {
-	if m.Full() {
-		panic("cache: MSHR overflow")
-	}
-	if _, ok := m.byLine[line]; ok {
-		panic("cache: duplicate MSHR allocation")
-	}
-	idx := -1
-	for w, word := range m.free {
-		if word != 0 {
-			idx = w<<6 + bits.TrailingZeros64(word)
-			break
-		}
-	}
-	m.free[idx>>6] &^= 1 << (idx & 63)
+	e := m.AllocReuse(line)
 	var zero T
-	m.slots[idx] = zero
-	m.byLine[line] = int32(idx)
-	return &m.slots[idx]
+	*e = zero
+	return e
 }
 
 // AllocReuse is Alloc without the slot zeroing: the returned entry still
@@ -85,16 +64,11 @@ func (m *MSHR[T]) AllocReuse(line memaddr.LineAddr) *T {
 	if _, ok := m.byLine[line]; ok {
 		panic("cache: duplicate MSHR allocation")
 	}
-	idx := -1
-	for w, word := range m.free {
-		if word != 0 {
-			idx = w<<6 + bits.TrailingZeros64(word)
-			break
-		}
-	}
-	m.free[idx>>6] &^= 1 << (idx & 63)
+	idx := lowestFree(m.occ)
+	m.slots = withSlot(m.slots, idx, m.capacity)
+	m.occ[idx>>6] |= 1 << (idx & 63)
 	m.byLine[line] = int32(idx)
-	return &m.slots[idx]
+	return slotAt(m.slots, int32(idx))
 }
 
 // Free releases the entry for line. The slot may be reused by the next
@@ -102,7 +76,7 @@ func (m *MSHR[T]) AllocReuse(line memaddr.LineAddr) *T {
 func (m *MSHR[T]) Free(line memaddr.LineAddr) {
 	if i, ok := m.byLine[line]; ok {
 		delete(m.byLine, line)
-		m.free[i>>6] |= 1 << (i & 63)
+		m.occ[i>>6] &^= 1 << (i & 63)
 	}
 }
 
@@ -110,6 +84,6 @@ func (m *MSHR[T]) Free(line memaddr.LineAddr) {
 // determinism must not depend on order).
 func (m *MSHR[T]) ForEach(fn func(line memaddr.LineAddr, e *T)) {
 	for l, i := range m.byLine {
-		fn(l, &m.slots[i])
+		fn(l, slotAt(m.slots, i))
 	}
 }

@@ -235,7 +235,14 @@ func RecheckDeterminism(c *Case, config string, ro RunOpts) error {
 // A panic inside the simulated protocol (a stuck-state assertion firing)
 // is recovered into RunErr so the oracle treats it like any other failing
 // run — shrinkable and replayable — instead of killing the fuzzer.
-func RunCase(c *Case, config string, ro RunOpts) (out *Outcome) {
+func RunCase(c *Case, config string, ro RunOpts) *Outcome {
+	l := c.layout()
+	return runCase(c, l, c.Expect(l), config, ro)
+}
+
+// runCase is RunCase on a precomputed layout and expectation, which it
+// only reads: CheckCase shares one pair across its concurrent runs.
+func runCase(c *Case, l *caseLayout, e *Expectation, config string, ro RunOpts) (out *Outcome) {
 	out = &Outcome{
 		Config:   config,
 		Logs:     make([][]uint32, len(c.Threads)),
@@ -246,13 +253,6 @@ func RunCase(c *Case, config string, ro RunOpts) (out *Outcome) {
 			out.RunErr = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	runCase(c, config, ro, out)
-	return out
-}
-
-func runCase(c *Case, config string, ro RunOpts, out *Outcome) {
-	l := c.layout()
-	e := c.Expect(l)
 	w := &caseWorkload{c: c, l: l, e: e, out: out}
 	params := c.params(ro.Params)
 	maxTime := ro.MaxTime
@@ -271,4 +271,5 @@ func runCase(c *Case, config string, ro RunOpts, out *Outcome) {
 	})
 	out.Res = res
 	out.RunErr = err
+	return out
 }

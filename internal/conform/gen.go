@@ -97,64 +97,105 @@ func Generate(seed uint64, gp GenParams) *Case {
 	return c
 }
 
-// genOp picks one discipline-respecting operation for thread t in phase p.
+// chunkPool names the chunks an op choice draws its target from.
+type chunkPool uint8
+
+const (
+	poolNone     chunkPool = iota // the op targets no chunk
+	poolOwned                     // chunks the thread owns this phase
+	poolReadable                  // chunks it owns or that are read-shared
+	numPools
+)
+
+// opGen is one weighted op choice. A choice whose pool is empty for the
+// thread and phase drops out of the draw; otherwise make builds the op
+// from the chunk drawn from the pool (0 for poolNone).
+type opGen struct {
+	weight int
+	pool   chunkPool
+	make   func(c *Case, rng *spandex.Rand, chunk int) Op
+}
+
+// opGens is the generator's op mix. Entry order is the order of the
+// weighted draw and so part of the case format: reordering the table
+// changes every generated case.
+var opGens = [...]opGen{
+	{12, poolNone, func(c *Case, rng *spandex.Rand, _ int) Op {
+		return Op{Kind: OpLoad, Region: RegPrivate, Word: rng.Intn(c.PrivateWords)}
+	}},
+	{12, poolNone, func(c *Case, rng *spandex.Rand, _ int) Op {
+		return Op{Kind: OpStore, Region: RegPrivate, Word: rng.Intn(c.PrivateWords), Val: rng.U32()}
+	}},
+	{10, poolNone, func(c *Case, rng *spandex.Rand, _ int) Op {
+		return Op{Kind: OpLoad, Region: RegRO, Word: rng.Intn(c.ROWords)}
+	}},
+	{10, poolNone, func(c *Case, rng *spandex.Rand, _ int) Op {
+		return Op{Kind: OpFetchAdd, Region: RegAtomic, Word: rng.Intn(c.AtomicWords), Val: uint32(1 + rng.Intn(9))}
+	}},
+	{3, poolNone, func(*Case, *spandex.Rand, int) Op { return Op{Kind: OpFence} }},
+	{5, poolNone, func(_ *Case, rng *spandex.Rand, _ int) Op {
+		return Op{Kind: OpCompute, Val: uint32(rng.Intn(200))}
+	}},
+	{22, poolOwned, func(c *Case, rng *spandex.Rand, k int) Op {
+		return Op{Kind: OpStore, Region: RegChunk, Chunk: k, Word: rng.Intn(c.ChunkWords), Val: rng.U32()}
+	}},
+	{14, poolOwned, func(c *Case, rng *spandex.Rand, k int) Op {
+		return Op{Kind: OpLoad, Region: RegChunk, Chunk: k, Word: rng.Intn(c.ChunkWords)}
+	}},
+	{12, poolReadable, func(c *Case, rng *spandex.Rand, k int) Op {
+		return Op{Kind: OpLoad, Region: RegChunk, Chunk: k, Word: rng.Intn(c.ChunkWords)}
+	}},
+}
+
+// genOp picks one discipline-respecting operation for thread t in phase
+// p: a weighted draw over the available choices, then, for a chunk
+// choice, a uniform draw of the chunk from its pool.
 func (c *Case) genOp(rng *spandex.Rand, t, p int) Op {
-	var owned, readable []int
-	for k, o := range c.Owner[p] {
+	var size [numPools]int
+	size[poolNone] = 1
+	for _, o := range c.Owner[p] {
 		if o == t {
-			owned = append(owned, k)
+			size[poolOwned]++
 		}
 		if o == t || o == ReadShared {
-			readable = append(readable, k)
+			size[poolReadable]++
 		}
-	}
-	type choice struct {
-		weight int
-		make   func() Op
-	}
-	choices := []choice{
-		{12, func() Op {
-			return Op{Kind: OpLoad, Region: RegPrivate, Word: rng.Intn(c.PrivateWords)}
-		}},
-		{12, func() Op {
-			return Op{Kind: OpStore, Region: RegPrivate, Word: rng.Intn(c.PrivateWords), Val: rng.U32()}
-		}},
-		{10, func() Op {
-			return Op{Kind: OpLoad, Region: RegRO, Word: rng.Intn(c.ROWords)}
-		}},
-		{10, func() Op {
-			return Op{Kind: OpFetchAdd, Region: RegAtomic, Word: rng.Intn(c.AtomicWords), Val: uint32(1 + rng.Intn(9))}
-		}},
-		{3, func() Op { return Op{Kind: OpFence} }},
-		{5, func() Op { return Op{Kind: OpCompute, Val: uint32(rng.Intn(200))} }},
-	}
-	if len(owned) > 0 {
-		choices = append(choices,
-			choice{22, func() Op {
-				return Op{Kind: OpStore, Region: RegChunk, Chunk: owned[rng.Intn(len(owned))],
-					Word: rng.Intn(c.ChunkWords), Val: rng.U32()}
-			}},
-			choice{14, func() Op {
-				return Op{Kind: OpLoad, Region: RegChunk, Chunk: owned[rng.Intn(len(owned))],
-					Word: rng.Intn(c.ChunkWords)}
-			}})
-	}
-	if len(readable) > 0 {
-		choices = append(choices, choice{12, func() Op {
-			return Op{Kind: OpLoad, Region: RegChunk, Chunk: readable[rng.Intn(len(readable))],
-				Word: rng.Intn(c.ChunkWords)}
-		}})
 	}
 	total := 0
-	for _, ch := range choices {
-		total += ch.weight
+	for i := range opGens {
+		if size[opGens[i].pool] > 0 {
+			total += opGens[i].weight
+		}
 	}
 	pick := rng.Intn(total)
-	for _, ch := range choices {
-		if pick < ch.weight {
-			return ch.make()
+	for i := range opGens {
+		g := &opGens[i]
+		if size[g.pool] == 0 {
+			continue
 		}
-		pick -= ch.weight
+		if pick >= g.weight {
+			pick -= g.weight
+			continue
+		}
+		chunk := 0
+		if g.pool != poolNone {
+			chunk = c.nthChunk(t, p, g.pool, rng.Intn(size[g.pool]))
+		}
+		return g.make(c, rng, chunk)
 	}
 	panic("conform: weighted pick out of range")
+}
+
+// nthChunk returns the n-th chunk, in index order, of thread t's pool in
+// phase p.
+func (c *Case) nthChunk(t, p int, pool chunkPool, n int) int {
+	for k, o := range c.Owner[p] {
+		if o == t || pool == poolReadable && o == ReadShared {
+			if n == 0 {
+				return k
+			}
+			n--
+		}
+	}
+	panic("conform: chunk draw out of range")
 }

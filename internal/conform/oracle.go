@@ -57,24 +57,25 @@ func CheckCase(c *Case, configs []string, ro RunOpts) *Report {
 		configs = spandex.ConfigNames()
 	}
 	r := &Report{Case: c, Configs: configs, Outcomes: make([]*Outcome, len(configs))}
+	l := c.layout()
+	e := c.Expect(l)
 	var wg sync.WaitGroup
 	for i, cn := range configs {
 		wg.Add(1)
 		go func(i int, cn string) {
 			defer wg.Done()
-			r.Outcomes[i] = RunCase(c, cn, ro)
+			r.Outcomes[i] = runCase(c, l, e, cn, ro)
 		}(i, cn)
 	}
 	wg.Wait()
-	classify(r)
+	classify(r, l, e)
 	return r
 }
 
-// classify fills Report.Kind and Report.Failures from the outcomes.
-func classify(r *Report) {
+// classify fills Report.Kind and Report.Failures from the outcomes of
+// case r.Case with layout l and expectation e.
+func classify(r *Report, l *caseLayout, e *Expectation) {
 	c := r.Case
-	l := c.layout()
-	e := c.Expect(l)
 
 	var ref *Outcome
 	for _, o := range r.Outcomes {

@@ -265,13 +265,13 @@ func buildStruct(built map[reflect.Type]*typePlan, p *typePlan, t reflect.Type, 
 		byLine, slots := field("byLine"), field("slots")
 		p.byLine, p.slots = byLine.Index[0], slots.Index[0]
 		p.key = buildPlan(built, byLine.Type.Key(), path+".byLine[key]")
-		p.elem = buildPlan(built, slots.Type.Elem(), path+".slots[]")
+		p.elem = buildPlan(built, slots.Type.Elem().Elem(), path+".slots[]")
 		return
 	case t == writeBufferType:
 		p.op = opWriteBuffer
 		byLine, slots := field("byLine"), field("slots")
 		p.byLine, p.slots = byLine.Index[0], slots.Index[0]
-		et := slots.Type.Elem()
+		et := slots.Type.Elem().Elem()
 		for i := 0; i < et.NumField(); i++ {
 			f := et.Field(i)
 			if f.Name == "seq" {
@@ -482,13 +482,13 @@ func (h *hasher) walk(p *typePlan, v reflect.Value) {
 		iter := byLine.MapRange()
 		for iter.Next() {
 			idx := int(iter.Value().Int())
-			h.lives = append(h.lives, wbLive{slots.Index(idx).Field(p.seq).Uint(), idx})
+			h.lives = append(h.lives, wbLive{slot(slots, idx).Field(p.seq).Uint(), idx})
 		}
 		lives := h.lives[base:]
 		slices.SortFunc(lives, func(a, b wbLive) int { return cmp.Compare(a.seq, b.seq) })
 		h.buf = append(strconv.AppendInt(append(h.buf, "wb"...), int64(len(lives)), 10), '{')
 		for _, l := range lives {
-			e := slots.Index(l.idx)
+			e := slot(slots, l.idx)
 			for i := range p.fields {
 				h.walk(p.fields[i].plan, e.Field(p.fields[i].index))
 				h.buf = append(h.buf, ';')
@@ -521,7 +521,7 @@ func (h *hasher) sortedEntries(key, val *typePlan, m, slots reflect.Value) {
 		h.walk(key, iter.Key())
 		h.buf = append(h.buf, ':')
 		if slots.IsValid() {
-			h.walk(val, slots.Index(int(iter.Value().Int())))
+			h.walk(val, slot(slots, int(iter.Value().Int())))
 		} else {
 			h.walk(val, iter.Value())
 		}
@@ -537,6 +537,14 @@ func (h *hasher) sortedEntries(key, val *typePlan, m, slots reflect.Value) {
 		h.buf = append(append(h.buf, h.tmp[s.lo-start:s.hi-start]...), ';')
 	}
 	h.spans = h.spans[:base]
+}
+
+// slot returns entry i of an MSHR or WriteBuffer slot array, which is
+// allocated in chunks ([][]T): every chunk but the last holds as many
+// slots as the first.
+func slot(chunks reflect.Value, i int) reflect.Value {
+	n := chunks.Index(0).Len()
+	return chunks.Index(i / n).Index(i % n)
 }
 
 // renameSharers permutes the device bits of an LLC sharer bitset.

@@ -78,8 +78,10 @@ const (
 	wheelBits  = 15
 	wheelTicks = 1 << wheelBits
 	wheelMask  = wheelTicks - 1
-	// nilNode terminates bucket lists and the free list.
-	nilNode = -1
+	// nilNode terminates bucket lists and the free list. Slab index 0 is
+	// a never-used sentinel, so the zero bucket is an empty one and a
+	// freshly allocated wheel needs no initialising pass.
+	nilNode = 0
 )
 
 // node is one queued event in the wheel's slab.
@@ -90,7 +92,8 @@ type node struct {
 }
 
 // bucket is one wheel slot's FIFO: head and tail indices into the node
-// slab, fused into one struct so a push touches a single cache line.
+// slab, fused into one struct so a push touches a single cache line. A
+// bucket is empty when head is nilNode; tail is then stale and unread.
 type bucket struct {
 	head, tail int32
 }
@@ -184,37 +187,48 @@ type Engine struct {
 func New() *Engine { return &Engine{} }
 
 // wheel is the calendar storage one Engine owns between init and Release.
+// A wheel outside an engine is clean: every bucket empty, every bitmap
+// word zero.
 type wheel struct {
 	buckets       []bucket
 	bits, summary []uint64
 }
 
-// wheels recycles the wheels of released engines. The model checker
-// builds a short-lived engine for every replayed branch; reusing their
-// 256 KB bucket arrays keeps that from dominating its allocation.
+// wheels recycles the wheels of released engines. Every spandex.Run and
+// every model-checker replay builds a short-lived engine; reusing their
+// 256 KB bucket arrays keeps the wheel from dominating allocation.
 var wheels sync.Pool
 
 func (e *Engine) init() {
 	if w, ok := wheels.Get().(*wheel); ok {
 		e.buckets, e.bits, e.summary = w.buckets, w.bits, w.summary
-		clear(e.bits)
-		clear(e.summary)
 	} else {
 		e.buckets = make([]bucket, wheelTicks)
 		e.bits = make([]uint64, wheelTicks/64)
 		e.summary = make([]uint64, (wheelTicks/64+63)/64)
 	}
-	for i := range e.buckets {
-		e.buckets[i] = bucket{head: nilNode}
+	if len(e.nodes) == 0 {
+		e.nodes = append(e.nodes, node{}) // the nilNode sentinel
 	}
-	e.free = nilNode
 }
 
 // Release hands the engine's calendar wheel to the next engine that
-// starts. The engine must not be used afterwards.
+// starts. It empties only the buckets the occupancy bitmap marks, so
+// its cost follows the events still queued, not the wheel size. The
+// engine must not be used afterwards.
 func (e *Engine) Release() {
 	if e.buckets == nil {
 		return
+	}
+	for s, sw := range e.summary {
+		for ; sw != 0; sw &= sw - 1 {
+			i := s<<6 + bits.TrailingZeros64(sw)
+			for word := e.bits[i]; word != 0; word &= word - 1 {
+				e.buckets[i<<6+bits.TrailingZeros64(word)].head = nilNode
+			}
+			e.bits[i] = 0
+		}
+		e.summary[s] = 0
 	}
 	wheels.Put(&wheel{buckets: e.buckets, bits: e.bits, summary: e.summary})
 	e.buckets, e.bits, e.summary = nil, nil, nil

@@ -273,3 +273,39 @@ func TestReleasedWheelReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseLeavesWheelClean checks that Release empties every bucket
+// and bitmap word of a wheel whose engine stopped with events still
+// queued in the wheel and in the overflow heap, so the next engine can
+// start on it with no reset pass.
+func TestReleaseLeavesWheelClean(t *testing.T) {
+	e := New()
+	for i := 0; i < 500; i++ {
+		e.Schedule(Time(i*131%(3*wheelTicks)), func() {})
+	}
+	e.RunUntil(wheelTicks / 2)
+	if e.count == 0 || len(e.overflow) == 0 {
+		t.Fatalf("setup: %d wheel and %d overflow events pending, want both > 0", e.count, len(e.overflow))
+	}
+	w := wheel{buckets: e.buckets, bits: e.bits, summary: e.summary}
+	e.Release()
+	if e.buckets != nil {
+		t.Fatal("released engine still holds its wheel")
+	}
+	for i, b := range w.buckets {
+		if b.head != nilNode {
+			t.Fatalf("bucket %d still heads node %d", i, b.head)
+		}
+	}
+	for i, word := range w.bits {
+		if word != 0 {
+			t.Fatalf("occupancy word %d = %#x", i, word)
+		}
+	}
+	for i, word := range w.summary {
+		if word != 0 {
+			t.Fatalf("summary word %d = %#x", i, word)
+		}
+	}
+	New().Release() // an engine that never scheduled has no wheel to give
+}

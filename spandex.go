@@ -596,12 +596,16 @@ func (s *System) Reader() func(memaddr.Addr) uint32 {
 		l1s = s.GPUL1s
 	}
 	l1 := l1s[0]
+	// One completion callback serves every read: a read runs to
+	// completion before the next starts.
+	var v uint32
+	var ok bool
+	done := func(x uint32) { v, ok = x, true }
 	return func(a memaddr.Addr) uint32 {
 		l1.SelfInvalidate()
-		var v uint32
-		ok := false
+		v, ok = 0, false
 		op := device.Op{Kind: device.OpLoad, Addr: a}
-		for tries := 0; !l1.Access(op, func(x uint32) { v = x; ok = true }); tries++ {
+		for tries := 0; !l1.Access(op, done); tries++ {
 			if !s.Engine.Step() || tries > 1<<20 {
 				panic("spandex: validation read stalled")
 			}
@@ -627,11 +631,16 @@ func (s *System) Reader() func(memaddr.Addr) uint32 {
 // Result is bit-identical whether it executes alone or concurrently with
 // any number of other Runs; RunMatrix and VerifyDeterminism rely on this
 // invariant, and `go test -race ./...` guards it in CI.
+//
+// On every way out — success, error, MaxTime abort or a panic the caller
+// recovers — Run releases the engine's calendar wheel for the next run,
+// after the program is closed and validation has read its last word.
 func Run(w Workload, opt Options) (Result, error) {
 	s, err := NewSystem(opt)
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Engine.Release()
 	prog := w.Build(s.Machine(), opt.Seed)
 	defer prog.Close()
 	if err := s.Attach(prog); err != nil {
