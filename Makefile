@@ -8,11 +8,11 @@ GO ?= go
 	mutants crosscheck \
 	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
 	flow flow-check flow-mutants indep indep-check scale-smoke examples-smoke \
-	fuzz-smoke bench-smoke
+	fuzz-smoke bench-smoke cli-smoke
 
 ci: build vet fmt lint test race smoke examples-smoke check transgraph-check \
 	flow-check indep-check flow-mutants mcheck-smoke mutants trace-smoke \
-	metrics-smoke fuzz fuzz-mutants scale-smoke fuzz-smoke bench-smoke
+	metrics-smoke fuzz fuzz-mutants scale-smoke fuzz-smoke bench-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ bench:
 # conformance oracle on both fuzz geometries.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(NewSystem|CheckCase)$$' -benchtime 1x . ./internal/conform
+
+# Command front-end smoke: pinned SHA-256 digests of the metrics and trace
+# exports of litmus/SDD, and bad -configs/-mode/-format/-addr values that
+# must fail before anything is run or written.
+cli-smoke:
+	./scripts/cli_smoke.sh
 
 # Perf-regression gate (the CI bench-gate job): a paired A/B of the
 # single-worker headline sweep at HEAD~1 vs the checked-out tree; fails on

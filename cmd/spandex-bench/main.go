@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,8 +22,11 @@ import (
 	"time"
 
 	"spandex"
+	"spandex/internal/cli"
 	"spandex/internal/core"
 )
+
+const prog = "spandex-bench"
 
 func main() {
 	figure := flag.Int("figure", 0, "regenerate only figure 2 or 3")
@@ -45,26 +47,16 @@ func main() {
 	scalePhases := flag.Int("scale-phases", 0, "scale mode: scalemix phase count (0 = workload default)")
 	flag.Parse()
 
-	opt := spandex.Options{
-		Seed:                 *seed,
-		CheckInvariants:      *check,
-		CheckEveryTransition: *check,
-		Validate:             *validate,
-		RecordTransitions:    *covOut != "",
-	}
-
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "spandex-bench:", err)
-		os.Exit(1)
-	}
+	opt := cli.RunOptions(*seed, *check, *validate)
+	opt.RecordTransitions = *covOut != ""
 
 	if *scale {
-		names, err := parseScaleConfigs(*scaleConfigs)
+		names, err := cli.Configs("scale-configs", *scaleConfigs)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		if err := runScale(names, *seed, *scalePhases, *validate); err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		return
 	}
@@ -87,7 +79,7 @@ func main() {
 		workloads := append(append([]string{}, spandex.Figure2Workloads()...), spandex.Figure3Workloads()...)
 		reports, err := spandex.VerifyDeterminism(ctx, workloads, spandex.ConfigNames(), opt, 3)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		fmt.Printf("determinism verified on %d sampled cells (serial vs contended rerun):\n", len(reports))
 		for _, r := range reports {
@@ -101,27 +93,13 @@ func main() {
 	if *table != "" {
 		out, err := spandex.RenderTable(*table)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		fmt.Println(out)
 		return
 	}
 
 	cov := core.NewTransitionCoverage()
-	writeCoverage := func() {
-		if *covOut == "" {
-			return
-		}
-		data, err := json.MarshalIndent(cov.Snapshot(), "", "  ")
-		if err != nil {
-			die(err)
-		}
-		if err := os.WriteFile(*covOut, append(data, '\n'), 0o644); err != nil {
-			die(err)
-		}
-		fmt.Fprintf(os.Stderr, "coverage: %d distinct (state, msg) pairs -> %s\n", len(cov.Snapshot()), *covOut)
-	}
-
 	runFig := func(n int) *spandex.FigureData {
 		var f *spandex.FigureData
 		var err error
@@ -131,7 +109,7 @@ func main() {
 			f, err = spandex.RunFigure3Matrix(ctx, opt, mo)
 		}
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		for _, c := range f.Raw {
 			cov.AddSnapshot(c.Result.Transitions)
@@ -141,10 +119,10 @@ func main() {
 
 	if *figure != 0 {
 		if *figure != 2 && *figure != 3 {
-			die(fmt.Errorf("unknown figure %d (valid: 2, 3)", *figure))
+			cli.Fatal(prog, fmt.Errorf("unknown figure %d (valid: 2, 3)", *figure))
 		}
 		fmt.Println(runFig(*figure).Render())
-		writeCoverage()
+		cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 		return
 	}
 
@@ -153,7 +131,7 @@ func main() {
 		f2 := runFig(2)
 		f3 := runFig(3)
 		printHeadline(f2, f3)
-		writeCoverage()
+		cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 		if *progress {
 			agg := spandex.Aggregate(append(append([]spandex.Cell{}, f2.Raw...), f3.Raw...))
 			fmt.Fprintf(os.Stderr, "matrix wall time %s; %d KB simulated interconnect traffic\n",
@@ -166,7 +144,7 @@ func main() {
 	for _, t := range []string{"I", "II", "III", "IV", "V", "VI", "VII"} {
 		out, err := spandex.RenderTable(t)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		fmt.Println(out)
 	}
@@ -175,7 +153,7 @@ func main() {
 	f3 := runFig(3)
 	fmt.Println(f3.Render())
 	printHeadline(f2, f3)
-	writeCoverage()
+	cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 }
 
 func printHeadline(f2, f3 *spandex.FigureData) {

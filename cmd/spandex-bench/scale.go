@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	spandex "spandex"
@@ -56,23 +55,4 @@ func runScale(configNames []string, seed uint64, phases int, validate bool) erro
 		}
 	}
 	return nil
-}
-
-// parseScaleConfigs splits the -scale-configs flag and validates every name.
-func parseScaleConfigs(s string) ([]string, error) {
-	var names []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, err := config.ByName(name); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no configurations in -scale-configs %q", s)
-	}
-	return names, nil
 }

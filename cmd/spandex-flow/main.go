@@ -26,8 +26,10 @@ import (
 	"sort"
 
 	"spandex/internal/analysis/msgflow"
-	"spandex/internal/artifact"
+	"spandex/internal/cli"
 )
+
+const prog = "spandex-flow"
 
 func main() {
 	dir := flag.String("dir", ".", "repository root to analyze")
@@ -39,7 +41,7 @@ func main() {
 
 	g, err := msgflow.Build(*dir)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(prog, err)
 	}
 	if *mutate != "" {
 		mut, ok := msgflow.Mutations[*mutate]
@@ -49,10 +51,10 @@ func main() {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			fatal(fmt.Errorf("unknown mutation %q (have %v)", *mutate, names))
+			cli.Fatal(prog, fmt.Errorf("unknown mutation %q (have %v)", *mutate, names))
 		}
 		if err := mut(g); err != nil {
-			fatal(err)
+			cli.Fatal(prog, err)
 		}
 	}
 	r := msgflow.Verify(g)
@@ -79,29 +81,18 @@ func main() {
 
 	jsonOut, err := msgflow.JSON(r)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(prog, err)
 	}
 	dotOut := msgflow.DOT(r)
 	files := map[string][]byte{
 		filepath.Join(*out, "flow.json"): jsonOut,
 		filepath.Join(*out, "flow.dot"):  dotOut,
 	}
-	fresh, err := artifact.Sync(os.Stdout, "spandex-flow", *check, files, "")
-	if err != nil {
-		fatal(err)
-	}
-	if !fresh {
-		os.Exit(1)
-	}
+	cli.Sync(prog, os.Stdout, *check, files, "")
 	if *check {
 		fmt.Printf("%s is fresh\n", *out)
 	}
 	if len(r.Violations) > 0 {
 		os.Exit(1)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spandex-flow:", err)
-	os.Exit(1)
 }

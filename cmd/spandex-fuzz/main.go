@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,9 +30,12 @@ import (
 	"time"
 
 	"spandex"
+	"spandex/internal/cli"
 	"spandex/internal/conform"
 	"spandex/internal/core"
 )
+
+const prog = "spandex-fuzz"
 
 func main() {
 	seeds := flag.String("seeds", "0:200", "half-open seed range lo:hi to fuzz")
@@ -57,16 +59,11 @@ func main() {
 	verbose := flag.Bool("v", false, "per-seed progress on stderr")
 	flag.Parse()
 
-	die := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "spandex-fuzz: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
 	if *writeCorpus != "" {
 		for _, c := range conform.CorpusCases() {
 			jsonPath, goPath, err := conform.WriteCaseFiles(c, *writeCorpus)
 			if err != nil {
-				die("%v", err)
+				cli.Fatal(prog, err)
 			}
 			fmt.Printf("wrote %s, %s\n", jsonPath, goPath)
 		}
@@ -75,11 +72,15 @@ func main() {
 
 	lo, hi, err := parseSeeds(*seeds)
 	if err != nil {
-		die("%v", err)
+		cli.Fatal(prog, err)
 	}
-	var cfgList []string
+	// An unknown name fails here, before any seed runs, rather than as a
+	// run error every case would report (and write reproducers for).
+	cfgList := spandex.ConfigNames()
 	if *configs != "" {
-		cfgList = strings.Split(*configs, ",")
+		if cfgList, err = cli.Configs("configs", *configs); err != nil {
+			cli.Fatal(prog, err)
+		}
 	}
 	gp := conform.GenParams{MaxThreads: *threads, MaxPhases: *phases, OpsPerPhase: *ops}
 	ro := conform.RunOpts{NoCheck: *noCheck}
@@ -97,7 +98,7 @@ func main() {
 	if *mutate != "" {
 		disarm, err := armMutant(*mutate)
 		if err != nil {
-			die("%v", err)
+			cli.Fatal(prog, err)
 		}
 		defer disarm()
 	}
@@ -108,26 +109,15 @@ func main() {
 			cov.AddSnapshot(o.Res.Transitions)
 		}
 	}
-	writeCoverage := func() {
-		if *covOut == "" {
-			return
-		}
-		snap := cov.Snapshot()
-		data := mustJSON(snap)
-		if err := os.WriteFile(*covOut, data, 0o644); err != nil {
-			die("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "coverage: %d distinct (state, msg) pairs -> %s\n", len(snap), *covOut)
-	}
 
 	if *replay != "" {
 		c, err := conform.LoadCaseFile(*replay)
 		if err != nil {
-			die("%v", err)
+			cli.Fatal(prog, err)
 		}
 		rep := conform.CheckCase(c, cfgList, ro)
 		record(rep)
-		writeCoverage()
+		cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 		if rep.Failed() {
 			fmt.Fprintln(os.Stderr, rep.Err())
 			os.Exit(1)
@@ -175,12 +165,12 @@ func main() {
 		}
 		jsonPath, goPath, err := conform.WriteCaseFiles(min, *out)
 		if err != nil {
-			die("writing reproducer: %v", err)
+			cli.Fatal(prog, fmt.Errorf("writing reproducer: %v", err))
 		}
 		fmt.Fprintf(os.Stderr, "  minimized to %d threads / %d ops / %d phases\n",
 			len(min.Threads), min.NumOps(), min.Phases)
 		fmt.Fprintf(os.Stderr, "  reproducers: %s (spandex-fuzz -replay) and %s (go run)\n", jsonPath, goPath)
-		writeCoverage()
+		cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 		if *mutate != "" {
 			fmt.Printf("mutation %s detected at seed %d (%d seeds tried, %s)\n",
 				*mutate, seed, seed-lo+1, time.Since(start).Round(time.Millisecond))
@@ -188,17 +178,17 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	writeCoverage()
+	cli.WriteCoverage(prog, os.Stderr, cov, *covOut)
 	if *mutate != "" {
-		die("mutation %s went UNDETECTED across seeds [%d,%d)", *mutate, lo, hi)
+		cli.Fatal(prog, fmt.Errorf("mutation %s went UNDETECTED across seeds [%d,%d)", *mutate, lo, hi))
 	}
 	fmt.Printf("seeds [%d,%d): all cases conform on %d configurations (%s)\n",
-		lo, hi, nConfigs(cfgList), time.Since(start).Round(time.Millisecond))
+		lo, hi, len(cfgList), time.Since(start).Round(time.Millisecond))
 }
 
 // shrinkCase minimizes c against the failing configuration subset.
-func shrinkCase(c *Case, failing []string, ro conform.RunOpts, budget int) *Case {
-	fails := func(cand *Case) bool {
+func shrinkCase(c *conform.Case, failing []string, ro conform.RunOpts, budget int) *conform.Case {
+	fails := func(cand *conform.Case) bool {
 		return conform.CheckCase(cand, failing, ro).Failed()
 	}
 	min, evals := conform.Shrink(c, fails, budget)
@@ -206,9 +196,6 @@ func shrinkCase(c *Case, failing []string, ro conform.RunOpts, budget int) *Case
 	min.Name = c.Name + "-min"
 	return min
 }
-
-// Case aliases the conform type for local signatures.
-type Case = conform.Case
 
 // failingConfigs lists the configurations a report implicates: those whose
 // run errored, plus every config once any observational divergence exists
@@ -227,13 +214,6 @@ func failingConfigs(rep *conform.Report) []string {
 	return out
 }
 
-func nConfigs(cfgList []string) int {
-	if len(cfgList) == 0 {
-		return len(spandex.ConfigNames())
-	}
-	return len(cfgList)
-}
-
 func parseSeeds(s string) (lo, hi uint64, err error) {
 	parts := strings.SplitN(s, ":", 2)
 	if len(parts) != 2 {
@@ -249,12 +229,4 @@ func parseSeeds(s string) (lo, hi uint64, err error) {
 		return 0, 0, fmt.Errorf("bad -seeds %q (empty range)", s)
 	}
 	return lo, hi, nil
-}
-
-func mustJSON(v interface{}) []byte {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
 }

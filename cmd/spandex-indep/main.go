@@ -25,8 +25,10 @@ import (
 	"path/filepath"
 
 	"spandex/internal/analysis/indep"
-	"spandex/internal/artifact"
+	"spandex/internal/cli"
 )
+
+const prog = "spandex-indep"
 
 func main() {
 	dir := flag.String("dir", ".", "repository root to analyze")
@@ -38,7 +40,7 @@ func main() {
 
 	f, err := indep.Build(*dir)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(prog, err)
 	}
 	if *verbose {
 		for _, m := range f.Guard {
@@ -54,30 +56,19 @@ func main() {
 
 	jsonOut, err := indep.JSON(f)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(prog, err)
 	}
 	goOut, err := indep.GoSource(f)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(prog, err)
 	}
 	files := map[string][]byte{
 		filepath.Join(*out, "indep.json"): jsonOut,
 		filepath.Join(*out, "indep.dot"):  indep.DOT(f),
 		*tables:                           goOut,
 	}
-	fresh, err := artifact.Sync(os.Stdout, "spandex-indep", *check, files, "")
-	if err != nil {
-		fatal(err)
-	}
-	if !fresh {
-		os.Exit(1)
-	}
+	cli.Sync(prog, os.Stdout, *check, files, "")
 	if *check {
 		fmt.Printf("%s and %s are fresh\n", *out, *tables)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "spandex-indep:", err)
-	os.Exit(1)
 }

@@ -42,9 +42,12 @@ import (
 	"strings"
 	"time"
 
+	"spandex/internal/cli"
 	"spandex/internal/core"
 	"spandex/internal/mcheck"
 )
+
+const prog = "spandex-mcheck"
 
 func main() {
 	pairing := flag.String("pairing", "", "only one pairing, e.g. mesi+gpu (default: all)")
@@ -55,11 +58,6 @@ func main() {
 	baseline := flag.String("baseline", "", "compare stats against this baseline JSON and fail on any count change")
 	timeTolerance := flag.Float64("time-tolerance", 0.50, "allowed fractional total-runtime growth vs baseline")
 	flag.Parse()
-
-	die := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "spandex-mcheck: "+format+"\n", args...)
-		os.Exit(1)
-	}
 
 	pairings := mcheck.Pairings()
 	if *pairing != "" {
@@ -74,7 +72,7 @@ func main() {
 			for _, p := range pairings {
 				names = append(names, p.String())
 			}
-			die("unknown pairing %q (have %s)", *pairing, strings.Join(names, ", "))
+			cli.Fatal(prog, fmt.Errorf("unknown pairing %q (have %s)", *pairing, strings.Join(names, ", ")))
 		}
 		pairings = sel
 	}
@@ -139,10 +137,10 @@ func main() {
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(&stats, "", "  ")
 		if err != nil {
-			die("marshal stats: %v", err)
+			cli.Fatal(prog, fmt.Errorf("marshal stats: %v", err))
 		}
 		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			die("write stats: %v", err)
+			cli.Fatal(prog, fmt.Errorf("write stats: %v", err))
 		}
 	}
 	if *baseline != "" {
@@ -152,16 +150,7 @@ func main() {
 		}
 	}
 
-	if cov != nil {
-		data, err := json.MarshalIndent(cov.Snapshot(), "", "  ")
-		if err != nil {
-			die("marshal coverage: %v", err)
-		}
-		if err := os.WriteFile(*covOut, append(data, '\n'), 0o644); err != nil {
-			die("write coverage: %v", err)
-		}
-		fmt.Printf("coverage: %d distinct (state, msg) pairs -> %s\n", len(cov.Snapshot()), *covOut)
-	}
+	cli.WriteCoverage(prog, os.Stdout, cov, *covOut)
 
 	if failed {
 		os.Exit(1)

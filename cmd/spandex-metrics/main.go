@@ -22,18 +22,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"spandex"
+	"spandex/internal/cli"
 )
+
+const prog = "spandex-metrics"
 
 func main() {
 	mode := flag.String("mode", "summary", "summary | timeline | lines | heatmap | export | validate")
-	workloadName := flag.String("workload", "indirection", "workload to run (see spandex-bench)")
-	configName := flag.String("config", "SDD", "cache configuration (Table V name)")
-	seed := flag.Uint64("seed", 42, "workload input seed")
-	fast := flag.Bool("fast", true, "use the shrunken FastParams system (full Table VI otherwise)")
+	cell := cli.CellFlags("indirection", true)
 	out := flag.String("o", "", "output file (default stdout)")
 	in := flag.String("in", "", "input metrics file (validate mode)")
 	format := flag.String("format", "text", "heatmap: text|dot|csv; export: jsonl|csv")
@@ -41,23 +40,14 @@ func main() {
 	cols := flag.Int("cols", 64, "timeline/heatmap width in columns")
 	flag.Parse()
 
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "spandex-metrics:", err)
-		os.Exit(1)
-	}
-
 	if *mode == "validate" {
-		if *in == "" {
-			die(fmt.Errorf("validate mode needs -in <metrics.jsonl>"))
-		}
-		f, err := os.Open(*in)
+		var counts map[string]int
+		err := cli.Validate(*in, "metrics.jsonl", func(r io.Reader) (err error) {
+			counts, err = spandex.ValidateMetricsJSONL(r)
+			return err
+		})
 		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		counts, err := spandex.ValidateMetricsJSONL(f)
-		if err != nil {
-			die(fmt.Errorf("%s: %w", *in, err))
+			cli.Fatal(prog, err)
 		}
 		kinds := make([]string, 0, len(counts))
 		total := 0
@@ -77,85 +67,78 @@ func main() {
 		return
 	}
 
-	w, err := spandex.WorkloadByName(*workloadName)
-	if err != nil {
-		die(err)
-	}
-	opt := spandex.Options{
-		ConfigName: *configName,
-		Seed:       *seed,
-		Metrics:    spandex.AllMetrics(),
-	}
-	if *fast {
-		p := spandex.FastParams()
-		opt.Params = &p
-	}
-	res, err := spandex.Run(w, opt)
-	if err != nil {
-		die(err)
-	}
-	rep := res.Metrics
-	if rep == nil {
-		die(fmt.Errorf("run produced no metrics report"))
-	}
-
-	var output io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			die(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				die(err)
-			}
-		}()
-		output = f
-	}
-
+	// Pick the renderer before the run and before -o is created, so a bad
+	// mode or format neither simulates the cell nor empties the output file.
+	var render func(w io.Writer, res spandex.Result) error
 	switch *mode {
 	case "summary":
-		fmt.Fprintf(output, "%s/%s seed %d  exec %.3f ms\n\n", *workloadName, *configName, *seed, res.ExecMillis())
-		rep.RenderSummary(output)
+		render = func(w io.Writer, res spandex.Result) error {
+			fmt.Fprintf(w, "%s/%s seed %d  exec %.3f ms\n\n", cell.Workload, cell.Config, cell.Seed, res.ExecMillis())
+			res.Metrics.RenderSummary(w)
+			return nil
+		}
 
 	case "timeline":
-		fmt.Fprintf(output, "%s/%s utilization timelines (full run, %d cols)\n\n", *workloadName, *configName, *cols)
-		rep.RenderTimeline(output, *cols)
+		render = func(w io.Writer, res spandex.Result) error {
+			fmt.Fprintf(w, "%s/%s utilization timelines (full run, %d cols)\n\n", cell.Workload, cell.Config, *cols)
+			res.Metrics.RenderTimeline(w, *cols)
+			return nil
+		}
 
 	case "lines":
-		rep.RenderTopLines(output, *top)
+		render = func(w io.Writer, res spandex.Result) error {
+			res.Metrics.RenderTopLines(w, *top)
+			return nil
+		}
 
 	case "heatmap":
 		switch *format {
 		case "text":
-			rep.RenderHeatmap(output, *cols)
+			render = func(w io.Writer, res spandex.Result) error {
+				res.Metrics.RenderHeatmap(w, *cols)
+				return nil
+			}
 		case "dot":
-			if err := rep.WriteHeatmapDOT(output); err != nil {
-				die(err)
-			}
+			render = func(w io.Writer, res spandex.Result) error { return res.Metrics.WriteHeatmapDOT(w) }
 		case "csv":
-			if err := rep.WriteHeatmapCSV(output); err != nil {
-				die(err)
-			}
+			render = func(w io.Writer, res spandex.Result) error { return res.Metrics.WriteHeatmapCSV(w) }
 		default:
-			die(fmt.Errorf("unknown heatmap format %q (valid: text, dot, csv)", *format))
+			cli.Fatal(prog, fmt.Errorf("unknown heatmap format %q (valid: text, dot, csv)", *format))
 		}
 
 	case "export":
 		switch *format {
 		case "jsonl", "text":
-			if err := rep.WriteJSONL(output); err != nil {
-				die(err)
-			}
+			render = func(w io.Writer, res spandex.Result) error { return res.Metrics.WriteJSONL(w) }
 		case "csv":
-			if err := rep.WriteCSV(output); err != nil {
-				die(err)
-			}
+			render = func(w io.Writer, res spandex.Result) error { return res.Metrics.WriteCSV(w) }
 		default:
-			die(fmt.Errorf("unknown export format %q (valid: jsonl, csv)", *format))
+			cli.Fatal(prog, fmt.Errorf("unknown export format %q (valid: jsonl, csv)", *format))
 		}
 
 	default:
-		die(fmt.Errorf("unknown mode %q (valid: summary, timeline, lines, heatmap, export, validate)", *mode))
+		cli.Fatal(prog, fmt.Errorf("unknown mode %q (valid: summary, timeline, lines, heatmap, export, validate)", *mode))
+	}
+
+	w, opt, err := cell.Resolve(spandex.Options{Metrics: spandex.AllMetrics()})
+	if err != nil {
+		cli.Fatal(prog, err)
+	}
+	res, err := spandex.Run(w, opt)
+	if err != nil {
+		cli.Fatal(prog, err)
+	}
+	if res.Metrics == nil {
+		cli.Fatal(prog, fmt.Errorf("run produced no metrics report"))
+	}
+	f, err := cli.Create(*out)
+	if err != nil {
+		cli.Fatal(prog, err)
+	}
+	if err := render(f, res); err != nil {
+		cli.Fatal(prog, err)
+	}
+	if err := f.Close(); err != nil {
+		cli.Fatal(prog, err)
 	}
 }

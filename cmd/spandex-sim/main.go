@@ -17,13 +17,16 @@ import (
 	"time"
 
 	"spandex"
+	"spandex/internal/cli"
 	"spandex/internal/proto"
 )
 
+const prog = "spandex-sim"
+
 func main() {
-	cfg := flag.String("config", "SDD", "cache configuration (HMG HMD SMG SMD SDG SDD)")
-	wl := flag.String("workload", "pr", "workload name (see -list)")
-	seed := flag.Uint64("seed", 42, "workload input seed")
+	cell := cli.CellFlags("pr", false)
+	flag.Lookup("workload").Usage = "workload name (see -list)"
+	flag.Lookup("config").Usage = "cache configuration (HMG HMD SMG SMD SDG SDD)"
 	check := flag.Bool("check", false, "enable coherence invariant checking, including the per-transition SWMR audit")
 	validate := flag.Bool("validate", true, "validate final memory state")
 	verifyDet := flag.Bool("verify-determinism", false,
@@ -44,26 +47,16 @@ func main() {
 		return
 	}
 
-	w, err := spandex.WorkloadByName(*wl)
+	w, opt, err := cell.Resolve(cli.RunOptions(cell.Seed, *check, *validate))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spandex-sim:", err)
-		fmt.Fprintln(os.Stderr, "use -list to see available workloads")
-		os.Exit(1)
-	}
-	opt := spandex.Options{
-		ConfigName:           *cfg,
-		Seed:                 *seed,
-		CheckInvariants:      *check,
-		CheckEveryTransition: *check,
-		Validate:             *validate,
+		cli.Fatal(prog, fmt.Errorf("%v\nuse -list to see available workloads", err))
 	}
 
 	if *verifyDet {
 		reports, err := spandex.VerifyDeterminism(context.Background(),
-			[]string{*wl}, []string{*cfg}, opt, 1)
+			[]string{cell.Workload}, []string{cell.Config}, opt, 1)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spandex-sim:", err)
-			os.Exit(1)
+			cli.Fatal(prog, err)
 		}
 		r := reports[0]
 		fmt.Printf("determinism verified: %s/%s fingerprint=%#016x serial=%s contended=%s\n",
@@ -77,10 +70,9 @@ func main() {
 	wall := time.Since(start)
 	if err != nil {
 		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "spandex-sim: violation:", v)
+			fmt.Fprintln(os.Stderr, prog+": violation:", v)
 		}
-		fmt.Fprintln(os.Stderr, "spandex-sim:", err)
-		os.Exit(1)
+		cli.Fatal(prog, err)
 	}
 
 	fmt.Printf("workload:   %s (%s)\n", res.Workload, w.Meta().Pattern)

@@ -27,15 +27,15 @@ import (
 	"strconv"
 
 	"spandex"
+	"spandex/internal/cli"
 	"spandex/internal/memaddr"
 )
 
+const prog = "spandex-trace"
+
 func main() {
 	mode := flag.String("mode", "summarize", "summarize | jsonl | export | validate")
-	workloadName := flag.String("workload", "indirection", "workload to run (see spandex-bench)")
-	configName := flag.String("config", "SDD", "cache configuration (Table V name)")
-	seed := flag.Uint64("seed", 42, "workload input seed")
-	fast := flag.Bool("fast", true, "use the shrunken FastParams system (full Table VI otherwise)")
+	cell := cli.CellFlags("indirection", true)
 	out := flag.String("o", "", "output file (jsonl/export modes; default stdout)")
 	in := flag.String("in", "", "input trace file (validate mode)")
 	addrFlag := flag.String("addr", "", "jsonl mode: keep only events touching this address's cache line (e.g. 0x10000)")
@@ -43,74 +43,40 @@ func main() {
 	diffPath := flag.String("diff", "", "summarize mode: diff this run against a summary JSONL written by -summary-out")
 	flag.Parse()
 
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "spandex-trace:", err)
-		os.Exit(1)
-	}
-
 	if *mode == "validate" {
-		if *in == "" {
-			die(fmt.Errorf("validate mode needs -in <trace.json>"))
-		}
-		f, err := os.Open(*in)
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		if err := spandex.ValidateChromeTrace(f); err != nil {
-			die(fmt.Errorf("%s: %w", *in, err))
+		if err := cli.Validate(*in, "trace.json", spandex.ValidateChromeTrace); err != nil {
+			cli.Fatal(prog, err)
 		}
 		fmt.Printf("%s: well-formed Chrome trace\n", *in)
 		return
 	}
 
-	w, err := spandex.WorkloadByName(*workloadName)
+	w, opt, err := cell.Resolve(spandex.Options{TraceLatency: true, TraceOccupancy: true})
 	if err != nil {
-		die(err)
-	}
-	opt := spandex.Options{
-		ConfigName:     *configName,
-		Seed:           *seed,
-		TraceLatency:   true,
-		TraceOccupancy: true,
-	}
-	if *fast {
-		p := spandex.FastParams()
-		opt.Params = &p
-	}
-
-	output := func() *os.File {
-		if *out == "" {
-			return os.Stdout
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			die(err)
-		}
-		return f
+		cli.Fatal(prog, err)
 	}
 
 	switch *mode {
 	case "summarize":
 		res, err := spandex.Run(w, opt)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		fmt.Print(spandex.RenderLatency(res))
-		sum := spandex.Summarize(res, *seed)
+		sum := spandex.Summarize(res, cell.Seed)
 		if *diffPath != "" {
 			f, err := os.Open(*diffPath)
 			if err != nil {
-				die(err)
+				cli.Fatal(prog, err)
 			}
 			base, err := spandex.ReadSummaryJSONL(f)
 			f.Close()
 			if err != nil {
-				die(fmt.Errorf("%s: %w", *diffPath, err))
+				cli.Fatal(prog, fmt.Errorf("%s: %w", *diffPath, err))
 			}
-			match, err := spandex.MatchSummary(base, *workloadName, *configName, *seed)
+			match, err := spandex.MatchSummary(base, cell.Workload, cell.Config, cell.Seed)
 			if err != nil {
-				die(fmt.Errorf("%s: %w", *diffPath, err))
+				cli.Fatal(prog, fmt.Errorf("%s: %w", *diffPath, err))
 			}
 			fmt.Println()
 			fmt.Print(spandex.DiffSummaries(match, sum))
@@ -118,28 +84,36 @@ func main() {
 		if *summaryOut != "" {
 			f, err := os.OpenFile(*summaryOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
-				die(err)
+				cli.Fatal(prog, err)
 			}
 			if err := spandex.WriteSummaryJSONL(f, sum); err != nil {
-				die(err)
+				cli.Fatal(prog, err)
 			}
 			if err := f.Close(); err != nil {
-				die(err)
+				cli.Fatal(prog, err)
 			}
 			fmt.Fprintf(os.Stderr, "spandex-trace: summary appended to %s\n", *summaryOut)
 		}
 
 	case "jsonl":
-		f := output()
-		sink := spandex.NewJSONLTraceSink(f)
-		var traceSink spandex.TraceEventSink = sink
+		// Parse -addr before -o is created, so a bad address leaves an
+		// existing output file alone.
+		var line memaddr.LineAddr
 		if *addrFlag != "" {
 			a, err := strconv.ParseUint(*addrFlag, 0, 64)
 			if err != nil {
-				die(fmt.Errorf("bad -addr %q: %w", *addrFlag, err))
+				cli.Fatal(prog, fmt.Errorf("bad -addr %q: %w", *addrFlag, err))
 			}
-			line := memaddr.Addr(a).Line()
-			traceSink = spandex.TraceFuncSink(func(ev spandex.TraceEvent) {
+			line = memaddr.Addr(a).Line()
+		}
+		f, err := cli.Create(*out)
+		if err != nil {
+			cli.Fatal(prog, err)
+		}
+		sink := spandex.NewJSONLTraceSink(f)
+		opt.TraceSink = sink
+		if *addrFlag != "" {
+			opt.TraceSink = spandex.TraceFuncSink(func(ev spandex.TraceEvent) {
 				switch {
 				case ev.Msg != nil && ev.Msg.Line == line:
 				case ev.Msg == nil && ev.Addr != 0 && ev.Addr.Line() == line:
@@ -149,17 +123,14 @@ func main() {
 				sink.Event(ev)
 			})
 		}
-		opt.TraceSink = traceSink
 		if _, err := spandex.Run(w, opt); err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
 		if err := sink.Close(); err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
-		if f != os.Stdout {
-			if err := f.Close(); err != nil {
-				die(err)
-			}
+		if err := f.Close(); err != nil {
+			cli.Fatal(prog, err)
 		}
 
 	case "export":
@@ -167,21 +138,24 @@ func main() {
 		opt.TraceSink = sink
 		res, err := spandex.Run(w, opt)
 		if err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
-		f := output()
+		f, err := cli.Create(*out)
+		if err != nil {
+			cli.Fatal(prog, err)
+		}
 		if err := sink.Close(f); err != nil {
-			die(err)
+			cli.Fatal(prog, err)
 		}
-		if f != os.Stdout {
-			if err := f.Close(); err != nil {
-				die(err)
-			}
+		if err := f.Close(); err != nil {
+			cli.Fatal(prog, err)
+		}
+		if *out != "" {
 			fmt.Fprintf(os.Stderr, "spandex-trace: %s/%s timeline (%d requests, exec %.3f ms) -> %s\n",
-				*workloadName, *configName, res.Latency.Requests, res.ExecMillis(), *out)
+				cell.Workload, cell.Config, res.Latency.Requests, res.ExecMillis(), *out)
 		}
 
 	default:
-		die(fmt.Errorf("unknown mode %q (valid: summarize, jsonl, export, validate)", *mode))
+		cli.Fatal(prog, fmt.Errorf("unknown mode %q (valid: summarize, jsonl, export, validate)", *mode))
 	}
 }

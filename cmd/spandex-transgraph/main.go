@@ -32,8 +32,11 @@ import (
 
 	"spandex/internal/analysis"
 	"spandex/internal/analysis/transgraph"
-	"spandex/internal/artifact"
+	"spandex/internal/cli"
+	"spandex/internal/core"
 )
+
+const prog = "spandex-transgraph"
 
 // defaultPackages are the protocol packages with message-handling units.
 var defaultPackages = []string{
@@ -51,17 +54,12 @@ func main() {
 	graphFile := flag.String("graph", "", "graph JSON for -diff (default: <out>/"+diffUnit+".json)")
 	flag.Parse()
 
-	die := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "spandex-transgraph: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
 	if *diff != "" {
 		if *graphFile == "" {
 			*graphFile = filepath.Join(*out, diffUnit+".json")
 		}
 		if err := runDiff(*graphFile, strings.Split(*diff, ",")); err != nil {
-			die("%v", err)
+			cli.Fatal(prog, err)
 		}
 		return
 	}
@@ -72,14 +70,14 @@ func main() {
 	}
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
-		die("%v", err)
+		cli.Fatal(prog, err)
 	}
 
 	files := map[string][]byte{}
 	for _, pkg := range pkgs {
 		graphs, err := transgraph.Extract(pkg)
 		if err != nil {
-			die("%v", err)
+			cli.Fatal(prog, err)
 		}
 		for _, g := range graphs {
 			files[filepath.Join(*out, g.Name()+".json")] = g.JSON()
@@ -94,13 +92,7 @@ func main() {
 	// silently vanished from extraction, e.g. a dispatch-idiom change the
 	// extractor no longer follows. Without this, -check passes while the
 	// on-disk graph rots.
-	fresh, err := artifact.Sync(os.Stderr, "spandex-transgraph", *check, files, *out, ".json", ".dot")
-	if err != nil {
-		die("%v", err)
-	}
-	if !fresh {
-		os.Exit(1)
-	}
+	cli.Sync(prog, os.Stderr, *check, files, *out, ".json", ".dot")
 	if *check {
 		fmt.Println("docs/transitions is fresh")
 	}
@@ -119,13 +111,9 @@ func runDiff(graphPath string, covPaths []string) error {
 
 	observed := make(map[string]uint64)
 	for _, p := range covPaths {
-		data, err := os.ReadFile(strings.TrimSpace(p))
+		snap, err := core.ReadCoverageFile(strings.TrimSpace(p))
 		if err != nil {
 			return err
-		}
-		var snap map[string]uint64
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("%s: %v", p, err)
 		}
 		for k, n := range snap {
 			observed[k] += n

@@ -161,7 +161,7 @@ func (w *caseWorkload) body(t int) func(th *spandex.Thread) {
 }
 
 func (w *caseWorkload) Build(m spandex.Machine, seed uint64) *spandex.Program {
-	p := &spandex.Program{Init: w.c.inits(w.l)}
+	p := &spandex.Program{Init: w.e.inits}
 	var cpu []spandex.OpStream
 	var gpu [][]spandex.OpStream
 	for t, th := range w.c.Threads {

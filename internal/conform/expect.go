@@ -25,6 +25,9 @@ type Expectation struct {
 	// Image is the expected final value of every layout word, in layout
 	// word order.
 	Image []uint32
+	// inits is the case's initial memory, computed once here and seeded
+	// read-only into every run's program.
+	inits []spandex.WordInit
 }
 
 // Expect computes the model prediction. The model exploits the discipline:
@@ -36,13 +39,14 @@ type Expectation struct {
 // Fetch-adds are commutative, so their summed effect on the model is
 // order-independent even though their return values (never logged) are not.
 func (c *Case) Expect(l *caseLayout) *Expectation {
-	mem := make(map[spandex.Addr]uint32)
-	for _, init := range c.inits(l) {
-		mem[init.Addr] = init.Val
-	}
 	e := &Expectation{
-		Logs: make([][]uint32, len(c.Threads)),
-		Refs: make([][]LogRef, len(c.Threads)),
+		Logs:  make([][]uint32, len(c.Threads)),
+		Refs:  make([][]LogRef, len(c.Threads)),
+		inits: c.inits(l),
+	}
+	mem := make(map[spandex.Addr]uint32)
+	for _, init := range e.inits {
+		mem[init.Addr] = init.Val
 	}
 	for p := 0; p < c.Phases; p++ {
 		for t, th := range c.Threads {

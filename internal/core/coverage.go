@@ -1,7 +1,10 @@
 package core
 
 import (
-	"sort"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 
 	"spandex/internal/memaddr"
 	"spandex/internal/proto"
@@ -38,9 +41,9 @@ func (l *LLC) stateLabel(line memaddr.LineAddr) string {
 	return base
 }
 
-// TransitionKey is one dynamically observed (LLC state, incoming message)
+// transitionKey is one dynamically observed (LLC state, incoming message)
 // pair.
-type TransitionKey struct {
+type transitionKey struct {
 	State string
 	Msg   string
 }
@@ -51,32 +54,21 @@ type TransitionKey struct {
 // extracted graph indicate an extraction bug; static transitions never
 // recorded are coverage gaps.
 type TransitionCoverage struct {
-	counts map[TransitionKey]uint64
+	counts map[transitionKey]uint64
 }
 
 // NewTransitionCoverage returns an empty recorder.
 func NewTransitionCoverage() *TransitionCoverage {
-	return &TransitionCoverage{counts: make(map[TransitionKey]uint64)}
+	return &TransitionCoverage{counts: make(map[transitionKey]uint64)}
 }
 
 // Record notes one processed (state, message) pair.
 func (tc *TransitionCoverage) Record(state string, msg proto.MsgType) {
-	tc.counts[TransitionKey{State: state, Msg: msg.Ident()}]++
-}
-
-// Merge folds another recorder's counts into tc.
-func (tc *TransitionCoverage) Merge(o *TransitionCoverage) {
-	if o == nil {
-		return
-	}
-	for k, n := range o.counts {
-		tc.counts[k] += n
-	}
+	tc.counts[transitionKey{State: state, Msg: msg.Ident()}]++
 }
 
 // Snapshot flattens the counts into a "State|Msg" → count map, the
-// serialization format of coverage files (cmd/spandex-bench -coverage-out,
-// cmd/spandex-mcheck -coverage-out) consumed by spandex-transgraph -diff.
+// content of a coverage file (WriteCoverageFile).
 func (tc *TransitionCoverage) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(tc.counts))
 	for k, n := range tc.counts {
@@ -89,33 +81,37 @@ func (tc *TransitionCoverage) Snapshot() map[string]uint64 {
 func (tc *TransitionCoverage) AddSnapshot(s map[string]uint64) {
 	//spandex:maprange commutative keyed accumulation: += into counts keyed by the loop key
 	for k, n := range s {
-		for i := 0; i < len(k); i++ {
-			if k[i] == '|' {
-				tc.counts[TransitionKey{State: k[:i], Msg: k[i+1:]}] += n
-				break
-			}
+		if state, msg, ok := strings.Cut(k, "|"); ok {
+			tc.counts[transitionKey{State: state, Msg: msg}] += n
 		}
 	}
 }
 
-// Keys returns the observed pairs in deterministic (state, msg) order.
-func (tc *TransitionCoverage) Keys() []TransitionKey {
-	keys := make([]TransitionKey, 0, len(tc.counts))
-	//spandex:maprange order normalized by the sort below
-	for k := range tc.counts {
-		keys = append(keys, k)
+// WriteCoverageFile writes a Snapshot map to path as indented JSON: the
+// coverage file that spandex-bench, spandex-fuzz and spandex-mcheck
+// write with -coverage-out and spandex-transgraph -diff reads back with
+// ReadCoverageFile.
+func WriteCoverageFile(path string, snap map[string]uint64) error {
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].State != keys[j].State {
-			return keys[i].State < keys[j].State
-		}
-		return keys[i].Msg < keys[j].Msg
-	})
-	return keys
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Count returns the number of times a pair was observed.
-func (tc *TransitionCoverage) Count(k TransitionKey) uint64 { return tc.counts[k] }
+// ReadCoverageFile reads a coverage file written by WriteCoverageFile back
+// into its Snapshot map.
+func ReadCoverageFile(path string) (map[string]uint64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var snap map[string]uint64
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return snap, nil
+}
 
 // SetCoverage installs a transition-coverage recorder on the LLC; nil
 // disables recording.
